@@ -4,6 +4,7 @@ The figure of merit is the ratio of a solver's weighted sum-rate to the
 baseline's on the same instance and weights; a ratio above 1 beats the
 baseline. Sweeps re-evaluate one trained schedule across network scales
 without retraining.
+evaluate hands the solvers blocks of networks, not one network at a time.
 """
 
 from __future__ import annotations
@@ -11,12 +12,13 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, replace
+from itertools import groupby
 
 import numpy as np
 
 from . import netgen
 from .netgen import NetworkInstance, SystemParams
-from .rates import weighted_sum_rate
+from .rates import rate_array, solver_inputs, weighted_sum_rate
 from .solver import StepSchedule, run
 from .fplinq import fplinq
 from .training import sample_weights
@@ -37,6 +39,13 @@ __all__ = [
 
 SWEEP_AXES = ("k_fixed_area", "k_fixed_density", "snr_offset",
               "d_min", "d_max")
+
+# Cap on one block's gain stacks (gains and their interference-only copy,
+# 16 K^2 bytes per network), which every solver iteration reads: a core's
+# L2 cache, 2 MiB. Larger stacks stream from memory on every iteration, so
+# a whole (40, 200, 200) test set ran FPLinQ slower batched than one network
+# at a time. K = 10 fits 8192 networks per block, K = 200 three.
+BLOCK_BYTES = 2 ** 21
 
 
 def performance_ratio(net: NetworkInstance, w, x_hat, x_ref) -> float:
@@ -62,6 +71,7 @@ def make_test_set(params: SystemParams, k: int, count: int, seed,
 
 
 def fplinq_point_solver(iters: int = 100):
+    """Baseline for evaluate; solves one network or a block, like fplinq."""
     def solve(net, w):
         return fplinq(net, w, iters)
     return solve
@@ -69,6 +79,8 @@ def fplinq_point_solver(iters: int = 100):
 
 def schedule_point_solver(schedule: StepSchedule, mode: str = "normalized",
                           x0: float = 0.01):
+    """Unrolled solver for evaluate; solves one network or a block, like
+    solver.run."""
     def solve(net, w):
         x, _ = run(net, w, schedule, mode=mode, x0=x0, keep_trace=False)
         return x
@@ -133,22 +145,40 @@ def cdf_points(values):
     return uniq, fractions
 
 
+def _blocks(test_set):
+    """Runs of consecutive (net, w) entries that share K and noise, cut
+    into blocks of at most BLOCK_BYTES of gain stacks."""
+    for (k, _), group in groupby(test_set, key=lambda entry: (
+            entry[0].k_links, entry[0].noise_power)):
+        entries = list(group)
+        cap = max(1, BLOCK_BYTES // (16 * k * k))
+        for i in range(0, len(entries), cap):
+            yield entries[i:i + cap]
+
+
 def evaluate(test_set, solver_a, solver_b=None, hist_bins: int = 20
              ) -> EvalReport:
     """Ratio of solver_a to solver_b (default: 100-iteration baseline) on
-    every instance. Each solver runs exactly once per instance; instances
-    with a zero reference sum-rate are skipped and counted."""
+    every instance. Each solver runs once per block (see _blocks), as
+    solver(nets, ws) with B networks and weights (B, K), returning powers
+    (B, K). Instances with a zero reference sum-rate are skipped, counted."""
     if solver_b is None:
         solver_b = fplinq_point_solver(100)
     ratios = []
     skipped = 0
-    for net, w in test_set:
-        x_a = solver_a(net, w)
-        x_b = solver_b(net, w)
-        try:
-            ratios.append(performance_ratio(net, w, x_a, x_b))
-        except ZeroDivisionError:
-            skipped += 1
+    for block in _blocks(test_set):
+        nets = [net for net, _ in block]
+        gain, noise, ws = solver_inputs(nets, [w for _, w in block])
+        wsr = []
+        for solver in (solver_a, solver_b):
+            x = np.asarray(solver(nets, ws), dtype=float)
+            if x.shape != ws.shape:
+                raise ValueError(f"solver returned shape {x.shape} for "
+                                 f"weights of shape {ws.shape}")
+            wsr.append(np.sum(ws * rate_array(x, gain, noise), axis=-1))
+        ok = wsr[1] != 0.0
+        skipped += int(np.count_nonzero(~ok))
+        ratios.extend(wsr[0][ok] / wsr[1][ok])
     if not ratios:
         raise ValueError("every instance was skipped")
     arr = np.asarray(ratios)
@@ -227,6 +257,7 @@ def sweep_generalization(schedule: StepSchedule, axis: str, grid,
 
 
 def _fmt(v) -> str:
+    """Float as its shortest round-trip repr, for every CSV writer."""
     return repr(float(v))
 
 

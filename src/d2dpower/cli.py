@@ -17,13 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from . import benchmark, netgen, scheduling, training
+from .benchmark import _fmt
 from .netgen import SystemParams
 from .rates import weighted_sum_rate
 from .solver import load_schedule, run, save_schedule, viva_defaults
-
-
-def _fmt(v) -> str:
-    return repr(float(v))
 
 
 def load_params(path) -> SystemParams:

@@ -2,7 +2,8 @@
 
 Closed-form alternating updates with the auxiliary variables eliminated;
 each iteration costs O(K^2) and the weighted sum-rate never decreases.
-Powers start at full, x = 1.
+Powers start at full, x = 1. fplinq() solves one network, or a block of
+networks (same K and noise, weights (B, K)) in one batched call.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .netgen import NetworkInstance
-from .rates import offdiag, power_terms
+from .rates import offdiag, solver_inputs
 
 __all__ = ["FpState", "fp_step", "fplinq", "fp_iterate"]
 
@@ -24,40 +25,45 @@ class FpState:
 
 
 def fp_iterate(x, w, gain, gain_off, noise, iters: int):
-    """Run `iters` closed-form updates on plain arrays (broadcasts)."""
+    """Run `iters` closed-form updates on plain arrays (broadcasts).
+
+    Each update reads only gain_off and the direct gains: total power is
+    interf + direct x and gain^T y^2 is gain_off^T y^2 + direct y^2, two
+    matvecs. Both are sums of nonnegative terms, so, unlike
+    interf = total - direct x, neither loses precision to cancellation.
+    """
     w = np.asarray(w, dtype=float)
     direct = np.diagonal(gain, axis1=-2, axis2=-1)
-    gain_t = np.swapaxes(gain, -1, -2)
-    for _ in range(iters):
-        total, interf = power_terms(x, gain, gain_off, noise)
-        gamma = direct * x / interf
-        boost = w * (1.0 + gamma) * direct
-        y = np.sqrt(boost * x) / total
-        y2 = y * y
-        denom = np.matmul(gain_t, y2[..., None])[..., 0] ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
+    off_t = np.swapaxes(gain_off, -1, -2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(iters):
+            interf = noise + np.matmul(gain_off, x[..., None])[..., 0]
+            dx = direct * x
+            boost = w * (1.0 + dx / interf) * direct
+            y = np.sqrt(boost * x) / (interf + dx)
+            y2 = y * y
+            denom = (np.matmul(off_t, y2[..., None])[..., 0]
+                     + direct * y2) ** 2
             x = np.where(denom > 0.0,
                          np.minimum(1.0, y2 * boost / denom), 0.0)
     return x
 
 
 def fp_step(state: FpState, net: NetworkInstance, w) -> FpState:
-    """One update; weights must be nonnegative."""
-    w = np.asarray(w, dtype=float)
-    if np.any(w < 0.0):
-        raise ValueError("weights must be nonnegative")
-    gain = net.gain
-    x = fp_iterate(state.x, w, gain, offdiag(gain), net.noise_power, 1)
+    """One update; the weights pass rates.solver_inputs."""
+    gain, noise, w = solver_inputs(net, w)
+    x = fp_iterate(state.x, w, gain, offdiag(gain), noise, 1)
     return FpState(x=x, k=state.k + 1)
 
 
 def fplinq(net: NetworkInstance, w, iters: int = 100) -> np.ndarray:
-    """Power allocation after `iters` updates from x = 1."""
+    """Power allocation after `iters` updates from x = 1.
+
+    net is one NetworkInstance with weights (K,), or a block: a sequence of
+    networks that share K and noise, with weights (B, K). x has the
+    weights' shape; the inputs pass rates.solver_inputs.
+    """
     if iters < 0:
         raise ValueError("iters must be nonnegative")
-    w = np.asarray(w, dtype=float)
-    if np.any(w < 0.0):
-        raise ValueError("weights must be nonnegative")
-    gain = net.gain
-    x = np.ones(net.k_links)
-    return fp_iterate(x, w, gain, offdiag(gain), net.noise_power, iters)
+    gain, noise, w = solver_inputs(net, w)
+    return fp_iterate(np.ones(w.shape), w, gain, offdiag(gain), noise, iters)

@@ -16,6 +16,7 @@ from .netgen import NetworkInstance
 
 __all__ = [
     "ScalarizationFrame",
+    "solver_inputs",
     "sinr",
     "rate_vector",
     "rate_vector_logdiff",
@@ -59,15 +60,6 @@ def rate_array(x, gain, noise):
     return np.log1p(sinr_array(x, gain, noise))
 
 
-def jacobian_terms(gain, gain_off, total, interf):
-    """Rate Jacobian dR_i/dx_j from precomputed power terms.
-
-    Row i divides gain row i by total_i minus the interference row by
-    interf_i, so diagonals are nonnegative and off-diagonals nonpositive.
-    """
-    return (gain / total[..., None]) - (gain_off / interf[..., None])
-
-
 def weighted_rate_gradient(w, gain, gain_off, total, interf):
     """J(x)^T w without forming J: two matrix-vector products."""
     lhs = np.matmul(np.swapaxes(gain, -1, -2), (w / total)[..., None])[..., 0]
@@ -77,6 +69,36 @@ def weighted_rate_gradient(w, gain, gain_off, total, interf):
 
 
 # NetworkInstance wrappers.
+
+def solver_inputs(net, w):
+    """(gain, noise, w) of one network with weights (K,), or of a block: a
+    sequence of networks that share K and noise, gains stacked (B, K, K),
+    with weights (B, K). Per network the weights must be finite and
+    nonnegative with one positive, and every single-user rate positive;
+    raises ValueError otherwise. Both solvers check their inputs here."""
+    if isinstance(net, NetworkInstance):
+        gain, noise = net.gain, net.noise_power
+    else:
+        nets = list(net)
+        if not nets:
+            raise ValueError("a block needs at least one network")
+        noise = nets[0].noise_power
+        if any(n.k_links != nets[0].k_links or n.noise_power != noise
+               for n in nets):
+            raise ValueError("a block's networks must share K and noise")
+        gain = np.stack([n.gain for n in nets])
+    w = np.asarray(w, dtype=float)
+    if w.shape != gain.shape[:-1]:
+        raise ValueError(f"weights must have shape {gain.shape[:-1]}")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
+    if np.any(w < 0.0) or not np.all(np.any(w > 0.0, axis=-1)):
+        raise ValueError("weights must be nonnegative with at least one "
+                         "positive per network")
+    if not np.all(np.diagonal(gain, axis1=-2, axis2=-1) / noise > 0.0):
+        raise ValueError("degenerate network: zero single-user rate")
+    return gain, noise, w
+
 
 def sinr(x, net: NetworkInstance, i: int | None = None):
     """SINR of link i, or the whole SINR vector when i is None."""
@@ -101,12 +123,14 @@ def rate_vector_logdiff(x, net: NetworkInstance) -> np.ndarray:
 
 
 def rate_and_jacobian(x, net: NetworkInstance):
-    """(rates, Jacobian) computed together so the matvecs are shared."""
+    """(rates, Jacobian dR_i/dx_j) sharing their matvecs. Jacobian row i is
+    gain row i over total_i minus the interference row over interf_i, so
+    diagonals are nonnegative and off-diagonals nonpositive."""
     gain = net.gain
     gain_off = offdiag(gain)
     total, interf = power_terms(x, gain, gain_off, net.noise_power)
-    rates = np.log(total) - np.log(interf)
-    return rates, jacobian_terms(gain, gain_off, total, interf)
+    return (np.log(total) - np.log(interf),
+            gain / total[..., None] - gain_off / interf[..., None])
 
 
 def weighted_sum_rate(x, w, net: NetworkInstance) -> float:
@@ -136,13 +160,7 @@ class ScalarizationFrame:
 
 
 def scalarization_frame(net: NetworkInstance, w) -> ScalarizationFrame:
-    """Frame for a weighted solve. Weights must be nonnegative, not all zero."""
-    w = np.asarray(w, dtype=float)
-    if w.shape != (net.k_links,):
-        raise ValueError("weights must have shape (k_links,)")
-    if np.any(w < 0.0) or not np.any(w > 0.0):
-        raise ValueError("weights must be nonnegative with at least one positive")
+    """Frame for a weighted solve; the weights pass solver_inputs."""
+    _, _, w = solver_inputs(net, w)
     u = utopian_point(net)
-    if not np.all(u > 0.0):
-        raise ValueError("degenerate network: zero single-user rate")
     return ScalarizationFrame(u=u, a=-u, r_dir=u / np.linalg.norm(u), w=w)

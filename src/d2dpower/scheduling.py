@@ -19,7 +19,6 @@ from .solver import StepSchedule, run
 from .fplinq import fplinq
 
 __all__ = [
-    "QueueState",
     "UtilitySpec",
     "DppResult",
     "queue_update",
@@ -33,13 +32,6 @@ __all__ = [
 ]
 
 UTILITIES = ("proportional", "maxmin")
-
-
-@dataclass
-class QueueState:
-    """Virtual queues, one per link; nonnegative."""
-
-    q: np.ndarray
 
 
 @dataclass(frozen=True)

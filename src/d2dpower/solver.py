@@ -13,6 +13,10 @@ the |g| divisor and the projection lam >= 0; "plain" mode drops both and is
 kept for oscillation studies. A fixed per-layer step-size schedule makes the
 solver a deterministic unrolled network; schedules can be the untrained
 constant default or learned offline.
+
+run() solves one network with a per-instance loop, or a block of networks
+(same K and noise) in one call of the batched forward that training
+differentiates through.
 """
 
 from __future__ import annotations
@@ -23,16 +27,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .netgen import NetworkInstance
-from .rates import (ScalarizationFrame, offdiag, power_terms,
-                    scalarization_frame, weighted_rate_gradient)
+from .rates import (offdiag, power_terms, scalarization_frame, solver_inputs,
+                    weighted_rate_gradient)
 
 __all__ = [
     "StepSchedule",
-    "SolverState",
     "SolverTrace",
     "viva_defaults",
-    "init_state",
-    "pd_step",
     "run",
     "save_schedule",
     "load_schedule",
@@ -95,16 +96,6 @@ def viva_defaults(n_layers: int, constant: float = 0.003) -> StepSchedule:
 
 
 @dataclass
-class SolverState:
-    """Iterate after k layers: scalarization offset t, powers x, multiplier."""
-
-    t: float
-    x: np.ndarray
-    lam: float
-    k: int = 0
-
-
-@dataclass
 class SolverTrace:
     """Per-layer history including the initial state (length n_layers + 1)."""
 
@@ -114,60 +105,56 @@ class SolverTrace:
     wsr: np.ndarray
 
 
-def init_state(net: NetworkInstance, frame: ScalarizationFrame,
-               x0: float = 0.01) -> SolverState:
-    """Start at x = x0 * ones, t = 0, lam = 1.
+# Batched unrolled forward. Shapes: gain (B,K,K), w/x (B,K), scalars t/lam
+# (B,). noise is a scalar. All float64.
 
-    lam must start positive or the x update is inert; x0 = 0.01 is the
-    default, with 0 and 1 as the studied alternatives.
-    """
-    x = np.full(net.k_links, float(x0))
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise ValueError("x0 must lie in [0, 1]")
-    return SolverState(t=0.0, x=x, lam=1.0, k=0)
+def _vecmat(v, mat):
+    # (B,K) row vector times (B,K,K): out_j = sum_i v_i mat_ij
+    return np.matmul(v[:, None, :], mat)[:, 0, :]
 
 
-def _step_arrays(x, lam, t, w, gain, gain_off, noise, a_dot_w, r_dot_w,
-                 a1, a2, a3, normalized: bool):
-    """One layer on plain arrays; returns (t', x', lam', wsr')."""
-    total, interf = power_terms(x, gain, gain_off, noise)
-    t_new = t - a1 * (1.0 - lam * r_dot_w)
-    g = weighted_rate_gradient(w, gain, gain_off, total, interf)
-    norm_g = float(np.linalg.norm(g))
-    if normalized:
-        if norm_g > 0.0:
-            x_new = np.clip(x + (a2 / norm_g) * lam * g, 0.0, 1.0)
-        else:
-            x_new = x  # zero gradient: skip the x update
-    else:
-        x_new = np.clip(x + a2 * lam * g, 0.0, 1.0)
-    total, interf = power_terms(x_new, gain, gain_off, noise)
-    rates = np.log(total) - np.log(interf)
-    wsr = float(w @ rates)
-    slack = a_dot_w + t_new * r_dot_w + wsr
-    lam_new = lam - a3 * slack
-    if normalized:
-        lam_new = max(0.0, lam_new)
-    return t_new, x_new, lam_new, wsr
+def _matvec(mat, v):
+    return np.matmul(mat, v[:, :, None])[:, :, 0]
 
 
-def pd_step(state: SolverState, frame: ScalarizationFrame,
-            net: NetworkInstance, alpha1: float, alpha2: float,
-            alpha3: float, mode: str = "normalized") -> SolverState:
-    """Advance one layer. Step sizes are this layer's entries."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    vals = np.concatenate([[state.t, state.lam, alpha1, alpha2, alpha3],
-                           state.x])
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("non-finite solver state or step size")
-    gain = net.gain
-    t_new, x_new, lam_new, _ = _step_arrays(
-        state.x, state.lam, state.t, frame.w, gain, offdiag(gain),
-        net.noise_power, float(frame.w @ frame.a), float(frame.w @ frame.r_dir),
-        float(alpha1), float(alpha2), float(alpha3), mode == "normalized")
-    return SolverState(t=float(t_new), x=x_new, lam=float(lam_new),
-                       k=state.k + 1)
+def _unrolled_forward(gain, gain_off, noise, w, a1, a2, a3, kcut, x0,
+                      want_tape: bool, normalized: bool = True,
+                      check_finite: bool = False):
+    b, k = w.shape
+    u = np.log1p(np.diagonal(gain, axis1=-2, axis2=-1) / noise)
+    c = np.sum(w * (u / np.linalg.norm(u, axis=-1, keepdims=True)), axis=-1)
+    a_dot_w = -np.sum(w * u, axis=-1)
+    x = np.full((b, k), float(x0))
+    lam = np.ones(b)
+    t = np.zeros(b)
+    p = noise + _matvec(gain, x)
+    q = noise + _matvec(gain_off, x)
+    tape = []
+    for layer in range(kcut):
+        g = _vecmat(w / p, gain) - _vecmat(w / q, gain_off)
+        ng = np.linalg.norm(g, axis=-1)
+        upd = ng > 0.0
+        safe = np.where(upd, ng, 1.0) if normalized else np.ones(b)
+        h = np.where(upd[:, None], g / safe[:, None], 0.0)
+        t = t - a1[layer] * (1.0 - lam * c)
+        v = x + a2[layer] * lam[:, None] * h
+        x_new = np.clip(v, 0.0, 1.0)
+        interior = (v > 0.0) & (v < 1.0)
+        p_new = noise + _matvec(gain, x_new)
+        q_new = noise + _matvec(gain_off, x_new)
+        swr = np.sum(w * (np.log(p_new) - np.log(q_new)), axis=-1)
+        s = a_dot_w + t * c + swr
+        mu = lam - a3[layer] * s
+        lam_new = np.maximum(mu, 0.0) if normalized else mu
+        if check_finite and not all(
+                np.isfinite(a).all() for a in (t, lam_new, x_new)):
+            raise FloatingPointError(
+                f"non-finite iterate at layer {layer + 1}")
+        if want_tape:
+            tape.append((x, lam, p, q, safe, h, interior, s, mu > 0.0, upd))
+        x, lam, p, q = x_new, lam_new, p_new, q_new
+    wsr = np.sum(w * (np.log(p) - np.log(q)), axis=-1)
+    return x, lam, p, q, wsr, c, a_dot_w, tape
 
 
 def run(net: NetworkInstance, w, schedule: StepSchedule,
@@ -175,43 +162,57 @@ def run(net: NetworkInstance, w, schedule: StepSchedule,
         keep_trace: bool = True):
     """Run every layer of the schedule; returns (x_final, trace).
 
-    trace is None when keep_trace is False. The run is deterministic:
-    identical inputs give identical outputs.
+    net is one network with weights (K,), or a block: a sequence of
+    networks that share K and noise, with weights (B, K), solved in one
+    batched call to x of shape (B, K) with no trace (keep_trace=False).
+    One network keeps the per-instance loop, faster at B = 1. The solve
+    starts at x = x0, t = 0, lam = 1 (lam > 0, or x never moves). trace is
+    None when keep_trace is False. Identical inputs give identical outputs.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    frame = scalarization_frame(net, w)
-    state = init_state(net, frame, x0=x0)
+    x0 = float(x0)
+    if not 0.0 <= x0 <= 1.0:
+        raise ValueError("x0 must lie in [0, 1]")
     n = schedule.n_layers
-    gain = net.gain
-    gain_off = offdiag(gain)
-    noise = net.noise_power
-    a_dot_w = float(frame.w @ frame.a)
-    r_dot_w = float(frame.w @ frame.r_dir)
     normalized = mode == "normalized"
+    if not isinstance(net, NetworkInstance):
+        if keep_trace:
+            raise ValueError("a block keeps no trace; pass keep_trace=False")
+        gain, noise, w = solver_inputs(net, w)
+        return _unrolled_forward(
+            gain, offdiag(gain), noise, w, schedule.alpha1, schedule.alpha2,
+            schedule.alpha3, n, x0, want_tape=False, normalized=normalized,
+            check_finite=True)[0], None
 
-    t, x, lam = state.t, state.x, state.lam
-    if keep_trace:
+    frame = scalarization_frame(net, w)
+    w, gain, noise = frame.w, net.gain, net.noise_power
+    gain_off = offdiag(gain)
+    a_dot_w = float(w @ frame.a)
+    r_dot_w = float(w @ frame.r_dir)
+    t, x, lam = 0.0, np.full(net.k_links, x0), 1.0
+    total, interf = power_terms(x, gain, gain_off, noise)
+    history = [(t, x, lam, float(w @ (np.log(total) - np.log(interf))))]
+    for k, (a1, a2, a3) in enumerate(zip(schedule.alpha1, schedule.alpha2,
+                                         schedule.alpha3)):
+        t = t - a1 * (1.0 - lam * r_dot_w)
+        g = weighted_rate_gradient(w, gain, gain_off, total, interf)
+        norm_g = float(np.linalg.norm(g))
+        if not normalized:
+            x = np.clip(x + a2 * lam * g, 0.0, 1.0)
+        elif norm_g > 0.0:  # else zero gradient: skip the x update
+            x = np.clip(x + (a2 / norm_g) * lam * g, 0.0, 1.0)
         total, interf = power_terms(x, gain, gain_off, noise)
-        wsr0 = float(frame.w @ (np.log(total) - np.log(interf)))
-        ts = np.empty(n + 1)
-        xs = np.empty((n + 1, net.k_links))
-        lams = np.empty(n + 1)
-        wsrs = np.empty(n + 1)
-        ts[0], xs[0], lams[0], wsrs[0] = t, x, lam, wsr0
-
-    for k in range(n):
-        t, x, lam, wsr = _step_arrays(
-            x, lam, t, frame.w, gain, gain_off, noise, a_dot_w, r_dot_w,
-            schedule.alpha1[k], schedule.alpha2[k], schedule.alpha3[k],
-            normalized)
+        wsr = float(w @ (np.log(total) - np.log(interf)))
+        lam = lam - a3 * (a_dot_w + t * r_dot_w + wsr)
+        if normalized:
+            lam = max(0.0, lam)
         if not (np.isfinite(t) and np.isfinite(lam) and
                 np.all(np.isfinite(x))):
             raise FloatingPointError(f"non-finite iterate at layer {k + 1}")
         if keep_trace:
-            ts[k + 1], xs[k + 1], lams[k + 1], wsrs[k + 1] = t, x, lam, wsr
-
-    trace = SolverTrace(t=ts, x=xs, lam=lams, wsr=wsrs) if keep_trace else None
+            history.append((t, x, lam, wsr))
+    trace = SolverTrace(*map(np.array, zip(*history))) if keep_trace else None
     return x, trace
 
 

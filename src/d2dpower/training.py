@@ -25,7 +25,8 @@ import numpy as np
 from . import netgen
 from .netgen import NetworkInstance, SystemParams
 from .rates import offdiag, weighted_sum_rate
-from .solver import StepSchedule, viva_defaults
+from .solver import (StepSchedule, _matvec, _unrolled_forward, _vecmat,
+                     viva_defaults)
 
 __all__ = [
     "TrainConfig",
@@ -69,8 +70,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.n_layers < 1 or self.n_train < 1 or self.max_iter < 1:
             raise ValueError("n_layers, n_train, max_iter must be >= 1")
-        if self.base_rate <= 0.0:
-            raise ValueError("base_rate must be positive")
+        if not all(np.isfinite(v) and v > 0.0
+                   for v in (self.base_rate, self.init_constant)):
+            raise ValueError("base_rate and init_constant must be finite "
+                             "and positive")
+        if not 0.0 <= self.x0 <= 1.0:
+            raise ValueError("x0 must lie in [0, 1]")
         f = tuple(self.refinement_factors)
         if any(not 0.0 < fi < 1.0 for fi in f):
             raise ValueError("refinement factors must lie in (0, 1)")
@@ -106,59 +111,8 @@ def sample_weights(rng: np.random.Generator, count: int, k: int,
     raise ValueError(f"weight_dist must be one of {WEIGHT_DISTS}")
 
 
-# Batched unrolled forward/backward. Shapes: gain (B,K,K), w/x (B,K),
-# scalars t/lam (B,). noise is a scalar. All float64.
-
-def _vecmat(v, mat):
-    # (B,K) row vector times (B,K,K): out_j = sum_i v_i mat_ij
-    return np.matmul(v[:, None, :], mat)[:, 0, :]
-
-
-def _matvec(mat, v):
-    return np.matmul(mat, v[:, :, None])[:, :, 0]
-
-
-def _frame_scalars(gain, noise, w):
-    direct = np.diagonal(gain, axis1=-2, axis2=-1)
-    u = np.log1p(direct / noise)
-    r = u / np.linalg.norm(u, axis=-1, keepdims=True)
-    c = np.sum(w * r, axis=-1)
-    a_dot_w = -np.sum(w * u, axis=-1)
-    return c, a_dot_w
-
-
-def _unrolled_forward(gain, gain_off, noise, w, a1, a2, a3, kcut, x0,
-                      want_tape: bool):
-    b, k = w.shape
-    c, a_dot_w = _frame_scalars(gain, noise, w)
-    x = np.full((b, k), float(x0))
-    lam = np.ones(b)
-    t = np.zeros(b)
-    p = noise + _matvec(gain, x)
-    q = noise + _matvec(gain_off, x)
-    tape = []
-    for layer in range(kcut):
-        g = _vecmat(w / p, gain) - _vecmat(w / q, gain_off)
-        ng = np.linalg.norm(g, axis=-1)
-        upd = ng > 0.0
-        safe = np.where(upd, ng, 1.0)
-        h = np.where(upd[:, None], g / safe[:, None], 0.0)
-        t = t - a1[layer] * (1.0 - lam * c)
-        v = x + a2[layer] * lam[:, None] * h
-        x_new = np.clip(v, 0.0, 1.0)
-        interior = (v > 0.0) & (v < 1.0)
-        p_new = noise + _matvec(gain, x_new)
-        q_new = noise + _matvec(gain_off, x_new)
-        swr = np.sum(w * (np.log(p_new) - np.log(q_new)), axis=-1)
-        s = a_dot_w + t * c + swr
-        mu = lam - a3[layer] * s
-        lam_new = np.maximum(mu, 0.0)
-        if want_tape:
-            tape.append((x, lam, p, q, safe, h, interior, s, mu > 0.0, upd))
-        x, lam, p, q = x_new, lam_new, p_new, q_new
-    wsr = np.sum(w * (np.log(p) - np.log(q)), axis=-1)
-    return x, lam, p, q, wsr, c, a_dot_w, tape
-
+# Batched unrolled backward through solver._unrolled_forward. Shapes: gain
+# (B,K,K), w/x (B,K), scalars t/lam (B,). noise is a scalar. All float64.
 
 def _loss_and_grad(gain, gain_off, noise, w, vec, kcut, x0):
     """Batch-mean loss after kcut layers and its gradient in the flat

@@ -14,7 +14,8 @@ from d2dpower.benchmark import (EvalReport, cdf_points, evaluate,
                                 performance_ratio, report_to_csv,
                                 schedule_point_solver, sweep_generalization,
                                 sweep_to_csv)
-from d2dpower.solver import viva_defaults
+from d2dpower.fplinq import fplinq
+from d2dpower.solver import StepSchedule, run, viva_defaults
 
 P = netgen.SystemParams()
 
@@ -55,20 +56,58 @@ def test_evaluate_self_ratio_is_one():
     assert rep.skipped == 0
 
 
-def test_evaluate_runs_each_solver_once_per_instance():
-    test = make_test_set(P, 3, 5, seed=1)
-    calls = {"a": 0, "b": 0}
+def test_evaluate_runs_each_solver_once_per_instance(monkeypatch):
+    # blocks of at most two K=3 networks (and one K=4 network) by size, and
+    # a new block wherever K changes
+    monkeypatch.setattr(benchmark, "BLOCK_BYTES", 16 * 3 * 3 * 2)
+    test = make_test_set(P, 3, 5, seed=1) + make_test_set(P, 4, 2, seed=2)
+    seen = {"a": [], "b": []}
 
-    def solver_a(net, w):
-        calls["a"] += 1
-        return np.ones(3)
+    def solver(name, value):
+        def solve(nets, ws):
+            assert ws.shape == (len(nets), nets[0].k_links)
+            seen[name].append([id(net) for net in nets])
+            return np.full(ws.shape, value)
+        return solve
 
-    def solver_b(net, w):
-        calls["b"] += 1
-        return np.full(3, 0.5)
+    rep = evaluate(test, solver("a", 1.0), solver("b", 0.5))
+    blocks = [[id(net) for net, _ in test[i:j]]
+              for i, j in ((0, 2), (2, 4), (4, 5), (5, 6), (6, 7))]
+    assert seen == {"a": blocks, "b": blocks}
+    assert rep.ratios.shape == (7,) and rep.skipped == 0
 
-    evaluate(test, solver_a, solver_b)
-    assert calls == {"a": 5, "b": 5}
+
+def test_evaluate_rejects_per_network_solver_output():
+    test = make_test_set(P, 3, 4, seed=1)
+    with pytest.raises(ValueError):
+        evaluate(test, lambda nets, ws: np.ones(3))
+
+
+@pytest.mark.parametrize("k", [1, 3, 10, 60])
+def test_block_evaluate_matches_per_network_loop(monkeypatch, k):
+    # blocks of 3 over 7 instances; instance 4's reference is all zero
+    monkeypatch.setattr(benchmark, "BLOCK_BYTES", 16 * k * k * 3)
+    test = make_test_set(P, k, 7, seed=k)
+    zero_net = test[4][0]
+    sched = StepSchedule([-0.2, 0.02, 0.08, -0.06], [0.38, 0.02, 0.23, 0.04],
+                         [0.07, 0.03, 0.23, -0.08])
+
+    def reference(nets, ws):
+        x = fplinq(nets, ws, 100)
+        x[[net is zero_net for net in nets]] = 0.0
+        return x
+
+    rep = evaluate(test, schedule_point_solver(sched), reference)
+    ratios, skipped = [], 0
+    for net, w in test:
+        x_a, _ = run(net, w, sched, keep_trace=False)
+        x_b = np.zeros(k) if net is zero_net else fplinq(net, w, 100)
+        try:
+            ratios.append(performance_ratio(net, w, x_a, x_b))
+        except ZeroDivisionError:
+            skipped += 1
+    assert rep.skipped == skipped == 1
+    assert np.allclose(rep.ratios, ratios, rtol=1e-12, atol=0.0)
 
 
 def test_evaluate_against_trained_style_solver():

@@ -107,3 +107,35 @@ def test_batched_iterate_matches_loop():
     for b, net in enumerate(nets):
         single = fplinq(net, w[b], 20)
         assert np.allclose(batched[b], single, rtol=1e-10, atol=1e-12)
+
+
+def _three_matvec_iterate(x, w, gain, gain_off, noise, iters):
+    # The update as first written: total and interference from two matvecs
+    # of x, then a third with the full gain matrix transposed.
+    direct = np.diagonal(gain, axis1=-2, axis2=-1)
+    gain_t = np.swapaxes(gain, -1, -2)
+    for _ in range(iters):
+        total, interf = rates.power_terms(x, gain, gain_off, noise)
+        boost = w * (1.0 + direct * x / interf) * direct
+        y2 = (np.sqrt(boost * x) / total) ** 2
+        denom = np.matmul(gain_t, y2[..., None])[..., 0] ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = np.where(denom > 0.0,
+                         np.minimum(1.0, y2 * boost / denom), 0.0)
+    return x
+
+
+def test_two_matvec_update_matches_three_matvec_oracle():
+    p = netgen.SystemParams()
+    rng = np.random.default_rng(2000)
+    gain = netgen.gain_batch(p, 10, 2000, rng)
+    w = rng.uniform(size=(2000, 10))
+    noise = netgen.noise_power_mw(p)
+    args = (np.ones((2000, 10)), w, gain, rates.offdiag(gain), noise, 100)
+    new, old = fp_iterate(*args), _three_matvec_iterate(*args)
+    assert np.max(np.abs(new - old)) < 1e-12
+
+    def wsr(x):
+        return np.sum(w * rates.rate_array(x, gain, noise), axis=-1)
+
+    assert np.max(np.abs(wsr(new) / wsr(old) - 1.0)) <= 1e-12

@@ -2,11 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import toy_net
 from d2dpower import netgen, rates
-from d2dpower.solver import (SolverState, StepSchedule, init_state, load_schedule,
-                             pd_step, run, save_schedule, viva_defaults)
+from d2dpower.fplinq import fplinq
+from d2dpower.solver import (StepSchedule, load_schedule, run, save_schedule,
+                             viva_defaults)
+
+# Step sizes of the size and signs a trained 10-link schedule has.
+TRAINED_LIKE = StepSchedule([-0.2, 0.02, 0.08, -0.06],
+                            [0.38, 0.02, 0.23, 0.04],
+                            [0.07, 0.03, 0.23, -0.08])
 
 
 def test_schedule_validation():
@@ -35,14 +43,17 @@ def test_schedule_vector_roundtrip():
         StepSchedule.from_vector(np.ones(4))
 
 
-def test_init_state():
+def test_run_start_state():
     net = toy_net([[4.0]], noise=1.0)
-    fr = rates.scalarization_frame(net, np.ones(1))
-    st = init_state(net, fr)
-    assert st.t == 0.0 and st.lam == 1.0 and st.k == 0
-    assert np.all(st.x == 0.01)
-    with pytest.raises(ValueError):
-        init_state(net, fr, x0=1.5)
+    _, trace = run(net, np.ones(1), viva_defaults(1))
+    assert trace.t[0] == 0.0 and trace.lam[0] == 1.0
+    assert np.all(trace.x[0] == 0.01)
+    for x0 in (1.5, -0.1, np.nan):
+        with pytest.raises(ValueError):
+            run(net, np.ones(1), viva_defaults(1), x0=x0)
+        with pytest.raises(ValueError):
+            run([net], np.ones((1, 1)), viva_defaults(1), x0=x0,
+                keep_trace=False)
 
 
 def test_single_link_saturates_to_full_power():
@@ -56,22 +67,33 @@ def test_single_link_saturates_to_full_power():
     assert x[0] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_run_trace_matches_repeated_pd_step():
+def _layer_oracle(t, x, lam, net, w, a1, a2, a3):
+    # One layer exactly as the module docstring writes it, with the
+    # Jacobian and the rates from rates.py.
+    u = rates.utopian_point(net)
+    r = u / np.linalg.norm(u)
+    t = t - a1 * (1.0 - lam * (w @ r))
+    g = rates.rate_jacobian(x, net).T @ w
+    x = np.clip(x + (a2 / np.linalg.norm(g)) * lam * g, 0.0, 1.0)
+    lam = max(0.0, lam - a3 * (w @ (-u + t * r + rates.rate_vector(x, net))))
+    return t, x, lam
+
+
+def test_run_trace_matches_layer_updates():
     p = netgen.SystemParams()
     net = netgen.sample_layout(p, 5, seed=2)
     w = np.random.default_rng(2).uniform(size=5)
-    sched = viva_defaults(8)
-    x, trace = run(net, w, sched)
-    fr = rates.scalarization_frame(net, w)
-    st = init_state(net, fr)
-    for k in range(8):
-        st = pd_step(st, fr, net, sched.alpha1[k], sched.alpha2[k],
-                     sched.alpha3[k])
-        assert st.k == k + 1
-        assert np.array_equal(st.x, trace.x[k + 1])
-        assert st.t == trace.t[k + 1]
-        assert st.lam == trace.lam[k + 1]
-    assert np.array_equal(x, st.x)
+    for sched in (viva_defaults(8), TRAINED_LIKE):
+        x, trace = run(net, w, sched)
+        for k in range(sched.n_layers):
+            t, xk, lam = _layer_oracle(
+                trace.t[k], trace.x[k], trace.lam[k], net, w,
+                sched.alpha1[k], sched.alpha2[k], sched.alpha3[k])
+            assert t == pytest.approx(trace.t[k + 1], rel=1e-12, abs=1e-15)
+            assert np.allclose(xk, trace.x[k + 1], rtol=1e-12, atol=1e-15)
+            assert lam == pytest.approx(trace.lam[k + 1], rel=1e-12,
+                                        abs=1e-15)
+        assert np.array_equal(x, trace.x[-1])
 
 
 def test_trace_shapes_and_wsr_column():
@@ -121,12 +143,18 @@ def test_zero_alpha2_freezes_powers():
     assert np.all(trace.x == trace.x[0])
 
 
-def test_pd_step_rejects_non_finite_state():
-    net = toy_net([[4.0]], noise=1.0)
-    fr = rates.scalarization_frame(net, np.ones(1))
-    bad = SolverState(t=np.nan, x=np.array([0.5]), lam=1.0)
-    with pytest.raises(ValueError):
-        pd_step(bad, fr, net, 0.003, 0.003, 0.003)
+def test_run_rejects_non_finite_iterates():
+    # an overflow-sized t step makes the multiplier infinite at layer 1,
+    # for one network and for a block alike
+    net = netgen.sample_layout(netgen.SystemParams(), 5, seed=4)
+    sched = StepSchedule(np.full(3, -1e308), np.full(3, 0.003),
+                         np.full(3, 0.003))
+    with np.errstate(over="ignore"), pytest.raises(
+            FloatingPointError, match="non-finite iterate at layer 1"):
+        run(net, np.ones(5), sched)
+    with np.errstate(over="ignore"), pytest.raises(
+            FloatingPointError, match="non-finite iterate at layer 1"):
+        run([net, net], np.ones((2, 5)), sched, keep_trace=False)
 
 
 def test_normalized_step_size_is_gradient_free():
@@ -134,12 +162,9 @@ def test_normalized_step_size_is_gradient_free():
     # update stays interior, independent of the gradient magnitude
     p = netgen.SystemParams()
     net = netgen.sample_layout(p, 5, seed=17)
-    w = np.ones(5)
-    fr = rates.scalarization_frame(net, w)
-    st = init_state(net, fr, x0=0.5)
-    new = pd_step(st, fr, net, 0.003, 0.003, 0.003)
-    moved = np.linalg.norm(new.x - st.x)
-    assert moved == pytest.approx(0.003 * st.lam, rel=1e-12)
+    _, trace = run(net, np.ones(5), viva_defaults(1), x0=0.5)
+    moved = np.linalg.norm(trace.x[1] - trace.x[0])
+    assert moved == pytest.approx(0.003 * trace.lam[0], rel=1e-12)
 
 
 def test_schedule_file_roundtrip(tmp_path):
@@ -152,3 +177,49 @@ def test_schedule_file_roundtrip(tmp_path):
     assert np.array_equal(back.alpha2, sched.alpha2)
     assert np.array_equal(back.alpha3, sched.alpha3)
     assert back.metadata == sched.metadata
+
+
+def test_solvers_share_weight_checks():
+    net = netgen.sample_layout(netgen.SystemParams(), 4, seed=5)
+    good = np.full(4, 0.5)
+
+    def luva(nets, w):
+        return run(nets, w, viva_defaults(3), keep_trace=False)[0]
+
+    for solve in (luva, fplinq):
+        assert solve(net, good).shape == (4,)
+        assert solve([net, net], np.stack([good, good])).shape == (2, 4)
+        for w in ([np.nan, 1, 1, 1], [1, np.inf, 1, 1], [1, -0.1, 1, 1],
+                  np.zeros(4)):
+            with pytest.raises(ValueError):
+                solve(net, np.asarray(w, dtype=float))
+            with pytest.raises(ValueError):  # one bad network spoils a block
+                solve([net, net], np.stack([good, w]))
+        for w in (np.ones(3), np.ones((1, 4))):
+            with pytest.raises(ValueError):
+                solve(net, w)
+        for w in (good, np.ones((2, 3)), np.ones((3, 4))):
+            with pytest.raises(ValueError):
+                solve([net, net], w)
+        with pytest.raises(ValueError):
+            solve([net, toy_net(np.ones((4, 4)))], np.ones((2, 4)))
+        with pytest.raises(ValueError):
+            solve([], np.ones((0, 4)))
+    with pytest.raises(ValueError):
+        run([net], np.ones((1, 4)), viva_defaults(3))  # a block keeps no trace
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 12), b=st.integers(1, 6), seed=st.integers(0, 2**16),
+       plain=st.booleans())
+def test_block_solves_match_per_network(k, b, seed, plain):
+    nets = netgen.sample_instances(netgen.SystemParams(), k, b, seed)
+    w = np.random.default_rng(seed).uniform(0.05, 1.0, size=(b, k))
+    mode = "plain" if plain else "normalized"
+    x_block, _ = run(nets, w, TRAINED_LIKE, mode=mode, keep_trace=False)
+    f_block = fplinq(nets, w, 30)
+    assert x_block.shape == f_block.shape == (b, k)
+    for i, net in enumerate(nets):
+        x_one, _ = run(net, w[i], TRAINED_LIKE, mode=mode, keep_trace=False)
+        assert np.allclose(x_block[i], x_one, rtol=1e-12, atol=1e-13)
+        assert np.array_equal(f_block[i], fplinq(net, w[i], 30))

@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from d2dpower import netgen, rates, training
+from d2dpower import netgen, rates, solver, training
 from d2dpower.rates import offdiag
 from d2dpower.solver import StepSchedule, run, viva_defaults
 from d2dpower.training import (AdamState, TrainConfig, adam_step,
@@ -49,6 +49,13 @@ def test_train_config_validation():
         TrainConfig(refinement_factors=(1.5,))
     with pytest.raises(ValueError):
         TrainConfig(weight_dist="bogus")
+    for bad in ({"x0": 5.0}, {"x0": -0.1}, {"x0": np.nan},
+                {"base_rate": np.nan}, {"base_rate": np.inf},
+                {"init_constant": 0.0}, {"init_constant": np.nan},
+                {"init_constant": -np.inf}):
+        with pytest.raises(ValueError):
+            TrainConfig(**bad)
+    assert TrainConfig(x0=1.0).x0 == 1.0
 
 
 def test_active_indices_layout():
@@ -141,7 +148,7 @@ def test_unrolled_forward_matches_solver_run():
     gain = np.stack([n.gain for n in nets])
     w = np.random.default_rng(10).uniform(size=(4, 5))
     vec = viva_defaults(6).to_vector()
-    x, lam, ptot, pint, wsr, _, _, _ = training._unrolled_forward(
+    x, lam, ptot, pint, wsr, _, _, _ = solver._unrolled_forward(
         gain, offdiag(gain), nets[0].noise_power, w, vec[:6], vec[6:12],
         vec[12:], 6, 0.01, want_tape=False)
     for b, net in enumerate(nets):
