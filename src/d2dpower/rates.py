@@ -28,44 +28,36 @@ __all__ = [
 ]
 
 
-def offdiag(gain: np.ndarray) -> np.ndarray:
-    """Copy of the gain matrix with zeroed direct links (interference only)."""
-    out = np.array(gain, dtype=float, copy=True)
-    k = out.shape[-1]
-    idx = np.arange(k)
-    out[..., idx, idx] = 0.0
+def _zero_diagonal(out: np.ndarray, k: int) -> np.ndarray:
+    # out is C-contiguous (..., m, k); zero entries (m - k + i, i) in place
+    flat = out.reshape(*out.shape[:-2], -1)
+    flat[..., flat.shape[-1] - k * k::k + 1] = 0.0
     return out
 
 
-def power_terms(x, gain, gain_off, noise):
-    """Total and interference-plus-noise received power at each receiver.
+def offdiag(gain: np.ndarray) -> np.ndarray:
+    """Copy of the gain matrix with zeroed direct links (interference only)."""
+    gain = np.asarray(gain, dtype=float)
+    return _zero_diagonal(gain.copy(), gain.shape[-1])
 
-    Returns (total, interf) with total_i = noise + sum_j gain_ij x_j and
-    interf_i = noise + sum_{j != i} gain_ij x_j. Broadcasts over leading dims.
-    """
-    x = np.asarray(x, dtype=float)
-    total = noise + np.matmul(gain, x[..., None])[..., 0]
-    interf = noise + np.matmul(gain_off, x[..., None])[..., 0]
-    return total, interf
+
+def stacked_gain(gain: np.ndarray) -> np.ndarray:
+    """S = [gain; offdiag(gain)], shape (..., 2K, K), in one allocation:
+    noise + S x stacks total and interference-plus-noise power."""
+    gain = np.asarray(gain, dtype=float)
+    return _zero_diagonal(np.concatenate((gain, gain), axis=-2),
+                          gain.shape[-1])
 
 
 def sinr_array(x, gain, noise):
     gain = np.asarray(gain, dtype=float)
-    _, interf = power_terms(x, gain, offdiag(gain), noise)
-    direct = np.diagonal(gain, axis1=-2, axis2=-1)
-    return direct * np.asarray(x, dtype=float) / interf
+    x = np.asarray(x, dtype=float)
+    interf = noise + np.matmul(offdiag(gain), x[..., None])[..., 0]
+    return np.diagonal(gain, axis1=-2, axis2=-1) * x / interf
 
 
 def rate_array(x, gain, noise):
     return np.log1p(sinr_array(x, gain, noise))
-
-
-def weighted_rate_gradient(w, gain, gain_off, total, interf):
-    """J(x)^T w without forming J: two matrix-vector products."""
-    lhs = np.matmul(np.swapaxes(gain, -1, -2), (w / total)[..., None])[..., 0]
-    rhs = np.matmul(np.swapaxes(gain_off, -1, -2),
-                    (w / interf)[..., None])[..., 0]
-    return lhs - rhs
 
 
 # NetworkInstance wrappers.
@@ -90,12 +82,13 @@ def solver_inputs(net, w):
     w = np.asarray(w, dtype=float)
     if w.shape != gain.shape[:-1]:
         raise ValueError(f"weights must have shape {gain.shape[:-1]}")
-    if not np.all(np.isfinite(w)):
+    # ndarray methods, not np.all/np.any: this runs on every solver call
+    if not np.isfinite(w).all():
         raise ValueError("weights must be finite")
-    if np.any(w < 0.0) or not np.all(np.any(w > 0.0, axis=-1)):
+    if (w < 0.0).any() or not (w > 0.0).any(axis=-1).all():
         raise ValueError("weights must be nonnegative with at least one "
                          "positive per network")
-    if not np.all(np.diagonal(gain, axis1=-2, axis2=-1) / noise > 0.0):
+    if not (gain.diagonal(axis1=-2, axis2=-1) / noise > 0.0).all():
         raise ValueError("degenerate network: zero single-user rate")
     return gain, noise, w
 
@@ -112,25 +105,22 @@ def rate_vector(x, net: NetworkInstance) -> np.ndarray:
 
 
 def rate_vector_logdiff(x, net: NetworkInstance) -> np.ndarray:
-    """Rates as ln(total_i) - ln(interf_i), reusing the two matvecs.
-
-    Mathematically equal to rate_vector; agreement at float64 scale is a
-    correctness check for both routes.
-    """
-    gain = net.gain
-    total, interf = power_terms(x, gain, offdiag(gain), net.noise_power)
-    return np.log(total) - np.log(interf)
+    """Rates as ln(total_i) - ln(interf_i), total and interference from
+    one stacked matvec. Mathematically equal to rate_vector; agreement at
+    float64 scale is a correctness check for both routes."""
+    return rate_and_jacobian(x, net)[0]
 
 
 def rate_and_jacobian(x, net: NetworkInstance):
-    """(rates, Jacobian dR_i/dx_j) sharing their matvecs. Jacobian row i is
-    gain row i over total_i minus the interference row over interf_i, so
-    diagonals are nonnegative and off-diagonals nonpositive."""
-    gain = net.gain
-    gain_off = offdiag(gain)
-    total, interf = power_terms(x, gain, gain_off, net.noise_power)
-    return (np.log(total) - np.log(interf),
-            gain / total[..., None] - gain_off / interf[..., None])
+    """(rates, Jacobian dR_i/dx_j) from one stacked matvec P = noise + S x
+    (stacked_gain). Jacobian row i is gain row i over total_i minus the
+    interference row over interf_i, so diagonals are nonnegative and
+    off-diagonals nonpositive."""
+    k = net.k_links
+    s = stacked_gain(net.gain)
+    p = net.noise_power + s @ np.asarray(x, dtype=float)
+    ratio = (s / p[:, None]).reshape(2, k, k)
+    return np.log(p[:k]) - np.log(p[k:]), ratio[0] - ratio[1]
 
 
 def weighted_sum_rate(x, w, net: NetworkInstance) -> float:

@@ -49,20 +49,25 @@ class UtilitySpec:
             raise ValueError("v must be finite and nonnegative")
 
 
+def _nonnegative(name: str, values) -> np.ndarray:
+    """values as a float array; ValueError unless all finite and >= 0."""
+    arr = np.asarray(values, dtype=float)
+    if not 0.0 <= arr.min() <= arr.max() < np.inf:  # False for any NaN
+        raise ValueError(f"{name} must be finite and nonnegative")
+    return arr
+
+
 def queue_update(q, rates, arrivals) -> np.ndarray:
     """One slot: serve at the realized rates, then add new arrivals."""
-    q = np.asarray(q, dtype=float)
-    rates = np.asarray(rates, dtype=float)
-    arrivals = np.asarray(arrivals, dtype=float)
-    if np.any(q < 0.0) or np.any(rates < 0.0) or np.any(arrivals < 0.0):
-        raise ValueError("queues, rates, arrivals must be nonnegative")
-    return np.maximum(0.0, q - rates) + arrivals
+    return (np.maximum(0.0, _nonnegative("queues", q) -
+                       _nonnegative("rates", rates)) +
+            _nonnegative("arrivals", arrivals))
 
 
 def aux_proportional(q, v: float, a_max: float) -> np.ndarray:
     """argmax_a in [0, a_max]^K of v sum_i ln(a_i) - q^T a, per coordinate
     a_i = min(a_max, v / q_i), with a_i = a_max where q_i = 0."""
-    q = np.asarray(q, dtype=float)
+    q = _nonnegative("queues", q)
     if a_max <= 0.0 or v < 0.0:
         raise ValueError("need a_max > 0 and v >= 0")
     with np.errstate(divide="ignore"):
@@ -76,9 +81,9 @@ def aux_maxmin(q, v: float, u) -> np.ndarray:
     The optimum is bang-bang along a = m u for m in {0, 1}: m = 1 when
     v >= q^T u (ties included), else 0.
     """
-    q = np.asarray(q, dtype=float)
+    q = _nonnegative("queues", q)
     u = np.asarray(u, dtype=float)
-    if np.any(u <= 0.0):
+    if not np.all(u > 0.0):
         raise ValueError("utopian rates must be positive")
     return u.copy() if v >= float(q @ u) else np.zeros_like(u)
 
@@ -154,9 +159,7 @@ def dpp_run(net: NetworkInstance, solver, util: UtilitySpec,
     a_max = float(np.max(u))
     normalize = bool(getattr(solver, "normalize_weights", False))
 
-    q = np.full(k, float(q0))
-    if np.any(q < 0.0):
-        raise ValueError("q0 must be nonnegative")
+    q = _nonnegative("q0", np.full(k, float(q0)))
     q_trace = np.empty((t_total + 1, k))
     q_trace[0] = q
     rate_trace = np.empty((t_total, k))

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import netgen
 from .netgen import NetworkInstance, SystemParams
-from .rates import offdiag, weighted_sum_rate
+from .rates import stacked_gain, weighted_sum_rate
 from .solver import (StepSchedule, _matvec, _unrolled_forward, _vecmat,
                      viva_defaults)
 
@@ -111,20 +111,22 @@ def sample_weights(rng: np.random.Generator, count: int, k: int,
     raise ValueError(f"weight_dist must be one of {WEIGHT_DISTS}")
 
 
-# Batched unrolled backward through solver._unrolled_forward. Shapes: gain
-# (B,K,K), w/x (B,K), scalars t/lam (B,). noise is a scalar. All float64.
+# Batched unrolled backward through solver._unrolled_forward. Shapes: S
+# (B,2K,K) from rates.stacked_gain, w/x (B,K), scalars t/lam (B,), powers
+# P (B,2K). noise is a scalar. All float64.
 
-def _loss_and_grad(gain, gain_off, noise, w, vec, kcut, x0):
+def _loss_and_grad(s, noise, w, vec, kcut, x0):
     """Batch-mean loss after kcut layers and its gradient in the flat
     3N step-size vector. Entries the loss cannot reach are zero."""
     n = vec.size // 3
     a1, a2, a3 = vec[:n], vec[n:2 * n], vec[2 * n:]
     b = w.shape[0]
-    x, lam, p, q, wsr, c, a_dot_w, tape = _unrolled_forward(
-        gain, gain_off, noise, w, a1, a2, a3, kcut, x0, want_tape=True)
+    w_pm = np.concatenate((w, -w), axis=-1)
+    x, lam, p, wsr, c, a_dot_w, tape = _unrolled_forward(
+        s, noise, w, a1, a2, a3, kcut, x0, want_tape=True)
     loss_val = -float(np.mean(wsr))
 
-    g_final = _vecmat(w / p, gain) - _vecmat(w / q, gain_off)
+    g_final = _vecmat(w_pm / p, s)
     xb = -g_final / b
     tb = np.zeros(b)
     lb = np.zeros(b)
@@ -133,12 +135,12 @@ def _loss_and_grad(gain, gain_off, noise, w, vec, kcut, x0):
     ga3 = np.zeros(n)
     g_next = g_final
     for layer in range(kcut - 1, -1, -1):
-        x_prev, lam_prev, p_prev, q_prev, ng, h, interior, s, pos, upd = \
+        x_prev, lam_prev, p_prev, ng, h, interior, slack, pos, upd = \
             tape[layer]
         # multiplier step: lam_new = max(0, lam_prev - a3 s(t_new, x_new))
         mub = lb * pos
         lb_prev = mub.copy()
-        ga3[layer] = -np.sum(mub * s)
+        ga3[layer] = -np.sum(mub * slack)
         sb = -mub * a3[layer]
         tb = tb + sb * c
         xb = xb + sb[:, None] * g_next
@@ -152,22 +154,17 @@ def _loss_and_grad(gain, gain_off, noise, w, vec, kcut, x0):
         lb_prev += a2[layer] * dvh
         coef = np.where(upd, a2[layer] * lam_prev / ng, 0.0)
         gb = coef[:, None] * (vb - h * dvh[:, None])
-        # curvature of the rate gradient at x_prev
-        t1 = _matvec(gain, gb)
-        t2 = _matvec(gain_off, gb)
-        hv = (_vecmat(w * t2 / (q_prev * q_prev), gain_off) -
-              _vecmat(w * t1 / (p_prev * p_prev), gain))
-        xb = vb + hv
+        # curvature of the rate gradient at x_prev: -S^T diag(w_pm/P^2) S gb
+        xb = vb - _vecmat(w_pm * _matvec(s, gb) / (p_prev * p_prev), s)
         lb = lb_prev
         g_next = h * ng[:, None]  # J(x_prev)^T w, rebuilt from the tape
     return loss_val, np.concatenate([ga1, ga2, ga3])
 
 
-def _mean_val_wsr(gain, gain_off, noise, w, vec, kcut, x0) -> float:
+def _mean_val_wsr(s, noise, w, vec, kcut, x0) -> float:
     n = vec.size // 3
-    _, _, _, _, wsr, _, _, _ = _unrolled_forward(
-        gain, gain_off, noise, w, vec[:n], vec[n:2 * n], vec[2 * n:],
-        kcut, x0, want_tape=False)
+    wsr = _unrolled_forward(s, noise, w, vec[:n], vec[n:2 * n], vec[2 * n:],
+                            kcut, x0, want_tape=False)[3]
     return float(np.mean(wsr))
 
 
@@ -202,8 +199,7 @@ def grad_schedule(net: NetworkInstance, w, schedule: StepSchedule,
     if not 1 <= layer_cutoff <= schedule.n_layers:
         raise ValueError("layer_cutoff must be in [1, n_layers]")
     w = np.asarray(w, dtype=float)
-    gain = net.gain[None, :, :]
-    _, grad = _loss_and_grad(gain, offdiag(gain), net.noise_power,
+    _, grad = _loss_and_grad(stacked_gain(net.gain)[None], net.noise_power,
                              w[None, :], schedule.to_vector(), layer_cutoff,
                              x0)
     mask = np.zeros(3 * schedule.n_layers, dtype=bool)
@@ -271,9 +267,8 @@ def train_layerwise(config: TrainConfig,
     train_rng = np.random.default_rng(train_ss)
     noise = netgen.noise_power_mw(params)
 
-    val_gain = netgen.gain_batch(params, k_links, config.validation_size,
-                                 val_rng)
-    val_gain_off = offdiag(val_gain)
+    val_s = stacked_gain(netgen.gain_batch(params, k_links,
+                                           config.validation_size, val_rng))
     val_w = sample_weights(val_rng, config.validation_size, k_links,
                            config.weight_dist)
 
@@ -296,8 +291,7 @@ def train_layerwise(config: TrainConfig,
                 w_b = sample_weights(train_rng, config.n_train, k_links,
                                      config.weight_dist)
                 loss_val, grad = _loss_and_grad(
-                    gain_b, offdiag(gain_b), noise, w_b, vec, layer,
-                    config.x0)
+                    stacked_gain(gain_b), noise, w_b, vec, layer, config.x0)
                 if not np.isfinite(loss_val):
                     raise FloatingPointError(
                         f"non-finite training loss at layer {layer} "
@@ -305,8 +299,8 @@ def train_layerwise(config: TrainConfig,
                 sub, adam = adam_step(vec[active], grad[active], adam, rate)
                 vec[active] = sub
                 if it % config.val_every == 0 or it == config.max_iter:
-                    val = _mean_val_wsr(val_gain, val_gain_off, noise,
-                                        val_w, vec, layer, config.x0)
+                    val = _mean_val_wsr(val_s, noise, val_w, vec, layer,
+                                        config.x0)
                     history.append(HistoryRecord(
                         layer=layer, stage=f"L{layer}.{stage_name}",
                         iteration=it, val_mean_wsr=val))

@@ -115,7 +115,8 @@ def _three_matvec_iterate(x, w, gain, gain_off, noise, iters):
     direct = np.diagonal(gain, axis1=-2, axis2=-1)
     gain_t = np.swapaxes(gain, -1, -2)
     for _ in range(iters):
-        total, interf = rates.power_terms(x, gain, gain_off, noise)
+        total = noise + np.matmul(gain, x[..., None])[..., 0]
+        interf = noise + np.matmul(gain_off, x[..., None])[..., 0]
         boost = w * (1.0 + direct * x / interf) * direct
         y2 = (np.sqrt(boost * x) / total) ** 2
         denom = np.matmul(gain_t, y2[..., None])[..., 0] ** 2

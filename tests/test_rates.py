@@ -108,9 +108,10 @@ def test_weighted_rate_gradient_matches_jacobian():
     rng = np.random.default_rng(8)
     x = rng.uniform(size=7)
     w = rng.uniform(size=7)
-    gain_off = rates.offdiag(net.gain)
-    total, interf = rates.power_terms(x, net.gain, gain_off, net.noise_power)
-    g = rates.weighted_rate_gradient(w, net.gain, gain_off, total, interf)
+    # the solver's one-vecmat form: (w_pm / P) S with P = noise + S x
+    s = rates.stacked_gain(net.gain)
+    w_pm = np.concatenate((w, -w))
+    g = (w_pm / (net.noise_power + s @ x)) @ s
     assert np.allclose(g, rates.rate_jacobian(x, net).T @ w, rtol=1e-12)
 
 
@@ -120,6 +121,14 @@ def test_offdiag():
     assert np.all(np.diag(off) == 0.0)
     assert off[0, 1] == g[0, 1] and off[2, 0] == g[2, 0]
     assert g[0, 0] == 1.0  # input untouched
+    # the stacked form [gain; offdiag(gain)], with leading batch dims
+    gb = np.arange(1.0, 19.0).reshape(2, 3, 3)
+    s = rates.stacked_gain(gb)
+    assert s.shape == (2, 6, 3)
+    assert np.array_equal(s[:, :3], gb)
+    assert np.array_equal(s[:, 3:], rates.offdiag(gb))
+    assert np.array_equal(rates.offdiag(gb)[1], rates.offdiag(gb[1]))
+    assert gb[1, 0, 0] == 10.0
 
 
 def test_utopian_hand_case():

@@ -30,6 +30,14 @@ def test_queue_update_rejects_negative():
         queue_update([1.0], [-0.1], [0.0])
     with pytest.raises(ValueError):
         queue_update([1.0], [0.0], [-0.1])
+    # NaN and inf fail loudly too, in any argument
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            queue_update(np.ones(3), [bad, 0.5, 0.2], [0.1, 0.1, 0.1])
+        with pytest.raises(ValueError):
+            queue_update([1.0, bad], [0.0, 0.0], [0.0, 0.0])
+        with pytest.raises(ValueError):
+            queue_update([1.0], [0.0], [bad])
 
 
 @settings(max_examples=200, deadline=None)
@@ -49,6 +57,9 @@ def test_aux_proportional_closed_form():
         aux_proportional([1.0], v=1.0, a_max=0.0)
     with pytest.raises(ValueError):
         aux_proportional([1.0], v=-1.0, a_max=1.0)
+    for q in ([np.nan, 1.0], [np.inf, 1.0], [-1.0, 1.0]):
+        with pytest.raises(ValueError):
+            aux_proportional(q, v=10.0, a_max=5.0)
 
 
 def test_aux_proportional_against_grid_oracle():
@@ -78,6 +89,11 @@ def test_aux_maxmin_bang_bang():
     assert np.array_equal(aux_maxmin(q, v=float(q @ u), u=u), u)
     with pytest.raises(ValueError):
         aux_maxmin(q, v=1.0, u=np.array([1.0, 0.0, 1.0]))
+    with pytest.raises(ValueError):
+        aux_maxmin(q, v=1.0, u=np.array([1.0, np.nan, 1.0]))
+    for bad in ([np.nan, 1.0, 1.0], [1.0, np.inf, 1.0], [-1.0, 1.0, 1.0]):
+        with pytest.raises(ValueError):
+            aux_maxmin(bad, v=1.0, u=u)
 
 
 def test_aux_maxmin_against_scan_oracle():
@@ -147,6 +163,10 @@ def test_dpp_run_shapes_and_bookkeeping():
     with pytest.raises(ValueError):
         dpp_run(net, fplinq_solver(20), UtilitySpec("proportional", 10.0),
                 t_total=10, t_avg=11)
+    for q0 in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="q0"):
+            dpp_run(net, fplinq_solver(20), UtilitySpec("maxmin", 40.0),
+                    t_total=10, t_avg=5, q0=q0)
 
 
 def test_dpp_run_deterministic():

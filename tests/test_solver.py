@@ -1,5 +1,7 @@
 """Unrolled primal-dual solver: updates, traces, schedules."""
 
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,8 @@ from hypothesis import strategies as st
 from conftest import toy_net
 from d2dpower import netgen, rates
 from d2dpower.fplinq import fplinq
-from d2dpower.solver import (StepSchedule, load_schedule, run, save_schedule,
-                             viva_defaults)
+from d2dpower.solver import (MODES, StepSchedule, load_schedule, run,
+                             save_schedule, viva_defaults)
 
 # Step sizes of the size and signs a trained 10-link schedule has.
 TRAINED_LIKE = StepSchedule([-0.2, 0.02, 0.08, -0.06],
@@ -67,33 +69,49 @@ def test_single_link_saturates_to_full_power():
     assert x[0] == pytest.approx(1.0, abs=1e-9)
 
 
-def _layer_oracle(t, x, lam, net, w, a1, a2, a3):
+def _layer_oracle(t, x, lam, net, w, a1, a2, a3, mode):
     # One layer exactly as the module docstring writes it, with the
     # Jacobian and the rates from rates.py.
     u = rates.utopian_point(net)
     r = u / np.linalg.norm(u)
     t = t - a1 * (1.0 - lam * (w @ r))
     g = rates.rate_jacobian(x, net).T @ w
-    x = np.clip(x + (a2 / np.linalg.norm(g)) * lam * g, 0.0, 1.0)
-    lam = max(0.0, lam - a3 * (w @ (-u + t * r + rates.rate_vector(x, net))))
-    return t, x, lam
+    step = a2 / np.linalg.norm(g) if mode == "normalized" else a2
+    x = np.clip(x + step * lam * g, 0.0, 1.0)
+    lam = lam - a3 * (w @ (-u + t * r + rates.rate_vector(x, net)))
+    return t, x, max(0.0, lam) if mode == "normalized" else lam
 
 
-def test_run_trace_matches_layer_updates():
+def _trace_cases():
+    # two hand-picked schedules on one K=5 layout, then 50 seeded K=10
+    # draws under the committed trained schedule the benchmark runs
     p = netgen.SystemParams()
     net = netgen.sample_layout(p, 5, seed=2)
     w = np.random.default_rng(2).uniform(size=5)
-    for sched in (viva_defaults(8), TRAINED_LIKE):
-        x, trace = run(net, w, sched)
-        for k in range(sched.n_layers):
-            t, xk, lam = _layer_oracle(
-                trace.t[k], trace.x[k], trace.lam[k], net, w,
-                sched.alpha1[k], sched.alpha2[k], sched.alpha3[k])
-            assert t == pytest.approx(trace.t[k + 1], rel=1e-12, abs=1e-15)
-            assert np.allclose(xk, trace.x[k + 1], rtol=1e-12, atol=1e-15)
-            assert lam == pytest.approx(trace.lam[k + 1], rel=1e-12,
-                                        abs=1e-15)
-        assert np.array_equal(x, trace.x[-1])
+    yield net, w, viva_defaults(8)
+    yield net, w, TRAINED_LIKE
+    luva = load_schedule(pathlib.Path(__file__).resolve().parents[1] /
+                         "perfbench" / "data" / "luva_k10.json")
+    rng = np.random.default_rng(50)
+    for seed in range(50):
+        yield netgen.sample_layout(p, 10, seed=seed), rng.uniform(size=10), luva
+
+
+def test_run_trace_matches_layer_updates():
+    for net, w, sched in _trace_cases():
+        for mode in MODES:
+            x, trace = run(net, w, sched, mode=mode)
+            for k in range(sched.n_layers):
+                t, xk, lam = _layer_oracle(
+                    trace.t[k], trace.x[k], trace.lam[k], net, w,
+                    sched.alpha1[k], sched.alpha2[k], sched.alpha3[k], mode)
+                assert t == pytest.approx(trace.t[k + 1], rel=1e-12,
+                                          abs=1e-15)
+                assert np.allclose(xk, trace.x[k + 1], rtol=1e-12,
+                                   atol=1e-15)
+                assert lam == pytest.approx(trace.lam[k + 1], rel=1e-12,
+                                            abs=1e-15)
+            assert np.array_equal(x, trace.x[-1])
 
 
 def test_trace_shapes_and_wsr_column():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from d2dpower import netgen, rates, solver, training
-from d2dpower.rates import offdiag
+from d2dpower.rates import stacked_gain
 from d2dpower.solver import StepSchedule, run, viva_defaults
 from d2dpower.training import (AdamState, TrainConfig, adam_step,
                                grad_schedule, sample_weights, train_layerwise)
@@ -131,12 +131,12 @@ def test_grad_batch_consistency():
     w = np.random.default_rng(55).uniform(size=(3, 5))
     vec = viva_defaults(4).to_vector()
     gain = np.stack([n.gain for n in nets])
-    _, g_batch = training._loss_and_grad(gain, offdiag(gain),
+    _, g_batch = training._loss_and_grad(stacked_gain(gain),
                                          nets[0].noise_power, w, vec, 4,
                                          0.01)
     g_mean = np.zeros(12)
     for b, net in enumerate(nets):
-        _, gb = training._loss_and_grad(net.gain[None], offdiag(net.gain)[None],
+        _, gb = training._loss_and_grad(stacked_gain(net.gain)[None],
                                         net.noise_power, w[b][None], vec, 4,
                                         0.01)
         g_mean += gb / 3.0
@@ -148,8 +148,8 @@ def test_unrolled_forward_matches_solver_run():
     gain = np.stack([n.gain for n in nets])
     w = np.random.default_rng(10).uniform(size=(4, 5))
     vec = viva_defaults(6).to_vector()
-    x, lam, ptot, pint, wsr, _, _, _ = solver._unrolled_forward(
-        gain, offdiag(gain), nets[0].noise_power, w, vec[:6], vec[6:12],
+    x, lam, _, wsr, _, _, _ = solver._unrolled_forward(
+        stacked_gain(gain), nets[0].noise_power, w, vec[:6], vec[6:12],
         vec[12:], 6, 0.01, want_tape=False)
     for b, net in enumerate(nets):
         x_ref, trace = run(net, w[b], viva_defaults(6))
