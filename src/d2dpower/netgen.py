@@ -4,12 +4,14 @@ Transmitters drop uniformly in a square service area; each receiver sits at a
 uniform angle and a uniform distance in [d_min, d_max] from its transmitter.
 Link gains follow a LoS street-canyon median pathloss with a single breakpoint
 (dual-slope 20/40 dB per decade), no shadowing or fast fading. All powers are
-linear milliwatts.
+linear milliwatts. Gains are computed from squared distances in closed form;
+`pathloss_db` is the dB reference they match.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -78,9 +80,10 @@ class NetworkInstance:
             raise ValueError("positions must have shape (k, 2)")
         if self.gain.shape != (k, k):
             raise ValueError("gain must have shape (k, k)")
-        if not np.all(np.isfinite(self.gain)) or np.any(self.gain <= 0.0):
+        # one min and one max; the comparison is False for any NaN
+        if not 0.0 < self.gain.min() <= self.gain.max() < np.inf:
             raise ValueError("gains must be finite and strictly positive")
-        if not (np.isfinite(self.noise_power) and self.noise_power > 0.0):
+        if not (math.isfinite(self.noise_power) and self.noise_power > 0.0):
             raise ValueError("noise_power must be finite and positive")
 
 
@@ -116,14 +119,24 @@ def noise_power_mw(params: SystemParams) -> float:
 
 def gains_from_geometry(tx_pos: np.ndarray, rx_pos: np.ndarray,
                         params: SystemParams) -> np.ndarray:
-    """Gain matrix from positions: gain[i, j] couples Tx j into Rx i (mW)."""
+    """Gain matrix from positions: gain[i, j] couples Tx j into Rx i (mW):
+    c / q up to the breakpoint and c / q^2 beyond, q = d^2 / r_bp^2 and
+    c = 10^((P_tx - L_bp - 6) / 10). Raises on coincident or NaN/inf nodes."""
     tx = np.asarray(tx_pos, dtype=float)
     rx = np.asarray(rx_pos, dtype=float)
-    d = np.linalg.norm(rx[..., :, None, :] - tx[..., None, :, :], axis=-1)
-    if np.any(d <= 0.0):
-        raise ValueError("coincident transmitter and receiver")
-    p_mw = 10.0 ** (params.tx_power_dbm / 10.0)
-    return p_mw * 10.0 ** (-pathloss_db(d, params) / 10.0)
+    r_bp, l_bp = _breakpoint(params)
+    c = 10.0 ** ((params.tx_power_dbm - l_bp - 6.0) / 10.0)
+    dx = rx[..., :, None, 0] - tx[..., None, :, 0]
+    dy = rx[..., :, None, 1] - tx[..., None, :, 1]
+    # seeded outputs follow the last bits: keep this order of operations
+    q = np.multiply(dx, dx, out=dx)
+    q += np.multiply(dy, dy, out=dy)
+    q /= r_bp * r_bp
+    if q.size and not 0.0 < q.min() <= q.max() < np.inf:
+        raise ValueError("positions must be finite and not coincident")
+    # q * q rounds above q exactly when q > 1: den is q, then q^2 beyond
+    den = np.maximum(q, np.multiply(q, q, out=dy), out=dy)
+    return np.divide(c, den, out=den)
 
 
 def _geometry(params: SystemParams, k: int, rng: np.random.Generator,

@@ -17,7 +17,6 @@ from .netgen import NetworkInstance
 __all__ = [
     "ScalarizationFrame",
     "solver_inputs",
-    "sinr",
     "rate_vector",
     "rate_vector_logdiff",
     "rate_and_jacobian",
@@ -91,12 +90,6 @@ def solver_inputs(net, w):
     if not (gain.diagonal(axis1=-2, axis2=-1) / noise > 0.0).all():
         raise ValueError("degenerate network: zero single-user rate")
     return gain, noise, w
-
-
-def sinr(x, net: NetworkInstance, i: int | None = None):
-    """SINR of link i, or the whole SINR vector when i is None."""
-    s = sinr_array(x, net.gain, net.noise_power)
-    return float(s[i]) if i is not None else s
 
 
 def rate_vector(x, net: NetworkInstance) -> np.ndarray:

@@ -154,7 +154,7 @@ def _unrolled_forward(s, noise, w, a1, a2, a3, kcut, x0, want_tape: bool,
         x_new = np.clip(v, 0.0, 1.0)
         interior = (v > 0.0) & (v < 1.0)
         p_new = noise + _matvec(s, x_new)
-        slack = a_dot_w + t * c + np.sum(w_pm * np.log(p_new), axis=-1)
+        slack = a_dot_w + t * c + (w_pm * np.log(p_new)).sum(-1)
         mu = lam - a3[layer] * slack
         lam_new = np.maximum(mu, 0.0) if normalized else mu
         if check_finite and not all(
@@ -164,7 +164,7 @@ def _unrolled_forward(s, noise, w, a1, a2, a3, kcut, x0, want_tape: bool,
         if want_tape:
             tape.append((x, lam, p, safe, h, interior, slack, mu > 0.0, upd))
         x, lam, p = x_new, lam_new, p_new
-    wsr = np.sum(w_pm * np.log(p), axis=-1)
+    wsr = (w_pm * np.log(p)).sum(-1)
     return x, lam, p, wsr, c, a_dot_w, tape
 
 

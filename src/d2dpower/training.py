@@ -24,7 +24,7 @@ import numpy as np
 
 from . import netgen
 from .netgen import NetworkInstance, SystemParams
-from .rates import stacked_gain, weighted_sum_rate
+from .rates import stacked_gain
 from .solver import (StepSchedule, _matvec, _unrolled_forward, _vecmat,
                      viva_defaults)
 
@@ -32,7 +32,6 @@ __all__ = [
     "TrainConfig",
     "AdamState",
     "HistoryRecord",
-    "loss",
     "grad_schedule",
     "adam_step",
     "train_layerwise",
@@ -97,11 +96,6 @@ class HistoryRecord:
     val_mean_wsr: float
 
 
-def loss(x, w, net: NetworkInstance) -> float:
-    """Training loss of one allocation: negative weighted sum-rate."""
-    return -weighted_sum_rate(x, w, net)
-
-
 def sample_weights(rng: np.random.Generator, count: int, k: int,
                    dist: str) -> np.ndarray:
     if dist == "uniform01":
@@ -124,7 +118,7 @@ def _loss_and_grad(s, noise, w, vec, kcut, x0):
     w_pm = np.concatenate((w, -w), axis=-1)
     x, lam, p, wsr, c, a_dot_w, tape = _unrolled_forward(
         s, noise, w, a1, a2, a3, kcut, x0, want_tape=True)
-    loss_val = -float(np.mean(wsr))
+    loss_val = -float(wsr.mean())
 
     g_final = _vecmat(w_pm / p, s)
     xb = -g_final / b
@@ -140,17 +134,17 @@ def _loss_and_grad(s, noise, w, vec, kcut, x0):
         # multiplier step: lam_new = max(0, lam_prev - a3 s(t_new, x_new))
         mub = lb * pos
         lb_prev = mub.copy()
-        ga3[layer] = -np.sum(mub * slack)
+        ga3[layer] = -(mub * slack).sum()
         sb = -mub * a3[layer]
         tb = tb + sb * c
         xb = xb + sb[:, None] * g_next
         # offset step: t_new = t_prev - a1 (1 - lam_prev c)
-        ga1[layer] = -np.sum(tb * (1.0 - lam_prev * c))
+        ga1[layer] = -(tb * (1.0 - lam_prev * c)).sum()
         lb_prev += tb * (a1[layer] * c)
         # power step: x_new = clip(x_prev + a2 lam_prev g/|g|, 0, 1)
         vb = np.where(upd[:, None], xb * interior, xb)
-        dvh = np.sum(vb * h, axis=-1)
-        ga2[layer] = np.sum(lam_prev * dvh)
+        dvh = (vb * h).sum(-1)
+        ga2[layer] = (lam_prev * dvh).sum()
         lb_prev += a2[layer] * dvh
         coef = np.where(upd, a2[layer] * lam_prev / ng, 0.0)
         gb = coef[:, None] * (vb - h * dvh[:, None])
@@ -165,7 +159,7 @@ def _mean_val_wsr(s, noise, w, vec, kcut, x0) -> float:
     n = vec.size // 3
     wsr = _unrolled_forward(s, noise, w, vec[:n], vec[n:2 * n], vec[2 * n:],
                             kcut, x0, want_tape=False)[3]
-    return float(np.mean(wsr))
+    return float(wsr.mean())
 
 
 def _active_indices(n: int, layer: int, param_set: str) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import toy_net
 from d2dpower import netgen, rates
@@ -140,3 +142,15 @@ def test_two_matvec_update_matches_three_matvec_oracle():
         return np.sum(w * rates.rate_array(x, gain, noise), axis=-1)
 
     assert np.max(np.abs(wsr(new) / wsr(old) - 1.0)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 12), seed=st.integers(0, 2**16),
+       scale=st.floats(1e-8, 1e8))
+def test_invariant_to_weight_scale(k, seed, scale):
+    # y^2 scales with w and the update's denominator with w^2, so x
+    # depends on w only up to a positive factor
+    net = netgen.sample_layout(netgen.SystemParams(), k, seed)
+    w = np.random.default_rng(seed).uniform(0.05, 1.0, size=k)
+    assert np.allclose(fplinq(net, scale * w), fplinq(net, w),
+                       rtol=1e-12, atol=1e-13)

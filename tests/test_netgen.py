@@ -1,6 +1,7 @@
 """Network generator: pathloss model, noise, geometry, serialization."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -113,9 +114,48 @@ def test_gains_from_geometry_entrywise():
         for j in range(2):
             d = np.linalg.norm(rx[i] - tx[j])
             expect = p_mw * 10.0 ** (-netgen.pathloss_db(float(d), p) / 10.0)
-            assert g[i, j] == expect
+            assert g[i, j] == pytest.approx(expect, rel=1e-14)
     # direct links at 10 m beat the 90/110 m cross paths
     assert g[0, 0] > g[0, 1] and g[1, 1] > g[1, 0]
+
+
+@pytest.mark.parametrize("p", [
+    SystemParams(),
+    SystemParams(tx_power_dbm=7.5, carrier_hz=5.9e9, antenna_height_m=2.7),
+])
+def test_closed_form_gains_match_db_route(p):
+    # at the breakpoint, a relative 1e-9 either side of it, and on a log
+    # grid from d_min to past the area diagonal
+    r_bp = netgen._breakpoint(p)[0]
+    grid = np.geomspace(p.d_min_m, 1.5 * np.sqrt(2.0) * p.area_side_m, 400)
+    d = np.concatenate(([r_bp, r_bp * (1 - 1e-9), r_bp * (1 + 1e-9)], grid))
+    tx = np.zeros((d.size, 1, 2))
+    rx = np.stack([d, np.zeros_like(d)], axis=-1)[:, None, :]
+    g = netgen.gains_from_geometry(tx, rx, p)[:, 0, 0]
+    p_mw = 10.0 ** (p.tx_power_dbm / 10.0)
+    expect = p_mw * 10.0 ** (-netgen.pathloss_db(d, p) / 10.0)
+    assert np.max(np.abs(g - expect) / expect) < 1e-14
+
+
+def test_closed_form_gains_exact_oracle():
+    # q = d^2 / r_bp^2 exactly from the float positions: gain * q (q <= 1)
+    # or gain * q^2 (q > 1) must equal the float constant c up to the
+    # rounding of the few float operations in between
+    p = SystemParams()
+    r_bp, l_bp = netgen._breakpoint(p)
+    c = Fraction(10.0 ** ((p.tx_power_dbm - l_bp - 6.0) / 10.0))
+    r2 = Fraction(r_bp) ** 2
+    worst = 0.0
+    for net in netgen.sample_instances(p, 40, 6, seed=31):
+        for i, (rx, ry) in enumerate(net.rx_pos.tolist()):
+            for j, (tx, ty) in enumerate(net.tx_pos.tolist()):
+                dx = Fraction(rx) - Fraction(tx)
+                dy = Fraction(ry) - Fraction(ty)
+                q = (dx * dx + dy * dy) / r2
+                g = Fraction(float(net.gain[i, j]))
+                prod = g * q if q <= 1 else g * q * q
+                worst = max(worst, abs(float((prod - c) / c)))
+    assert worst <= 2e-15
 
 
 def test_gains_reject_coincident_nodes():
@@ -124,6 +164,12 @@ def test_gains_reject_coincident_nodes():
     rx = np.array([[0.0, 0.0], [60.0, 0.0]])  # rx 0 on top of tx 0
     with pytest.raises(ValueError):
         netgen.gains_from_geometry(tx, rx, p)
+    ok_rx = rx + np.array([5.0, 0.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        off = np.array([[0.0, 0.0], [bad, 0.0]])
+        for args in ((tx + off, ok_rx), (tx, ok_rx + off)):
+            with pytest.raises(ValueError):
+                netgen.gains_from_geometry(*args, p)
 
 
 def test_sample_layout_deterministic():
@@ -180,14 +226,16 @@ def test_gain_batch_consistent_with_instances():
 
 def test_network_instance_validation():
     ok = netgen.sample_layout(SystemParams(), 3, seed=0)
-    bad_gain = ok.gain.copy()
-    bad_gain[0, 0] = 0.0
-    with pytest.raises(ValueError):
-        NetworkInstance(k_links=3, tx_pos=ok.tx_pos, rx_pos=ok.rx_pos,
-                        gain=bad_gain, noise_power=ok.noise_power)
-    with pytest.raises(ValueError):
-        NetworkInstance(k_links=3, tx_pos=ok.tx_pos, rx_pos=ok.rx_pos,
-                        gain=ok.gain, noise_power=0.0)
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        bad_gain = ok.gain.copy()
+        bad_gain[0, 0] = bad
+        with pytest.raises(ValueError):
+            NetworkInstance(k_links=3, tx_pos=ok.tx_pos, rx_pos=ok.rx_pos,
+                            gain=bad_gain, noise_power=ok.noise_power)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            NetworkInstance(k_links=3, tx_pos=ok.tx_pos, rx_pos=ok.rx_pos,
+                            gain=ok.gain, noise_power=bad)
     with pytest.raises(ValueError):
         NetworkInstance(k_links=2, tx_pos=ok.tx_pos, rx_pos=ok.rx_pos,
                         gain=ok.gain, noise_power=ok.noise_power)

@@ -11,17 +11,12 @@ HAND_GAIN = np.array([[2.0, 0.5], [0.25, 4.0]])
 HAND_X = np.array([1.0, 0.5])
 
 
-def test_sinr_hand_case():
-    net = toy_net(HAND_GAIN, noise=1.0)
-    s = rates.sinr(HAND_X, net)
-    assert s == pytest.approx([1.6, 1.6], rel=1e-15)
-    assert rates.sinr(HAND_X, net, i=0) == pytest.approx(1.6, rel=1e-15)
-
-
 def test_rate_hand_case():
+    # both SINRs are 1.6, so both rates are ln(2.6)
     net = toy_net(HAND_GAIN, noise=1.0)
     r = rates.rate_vector(HAND_X, net)
-    assert r == pytest.approx(np.log(2.6), rel=1e-15)
+    assert r.shape == (2,)
+    assert r == pytest.approx([np.log(2.6)] * 2, rel=1e-15)
 
 
 def test_rate_forms_agree_hand_case():

@@ -241,3 +241,25 @@ def test_block_solves_match_per_network(k, b, seed, plain):
         x_one, _ = run(net, w[i], TRAINED_LIKE, mode=mode, keep_trace=False)
         assert np.allclose(x_block[i], x_one, rtol=1e-12, atol=1e-13)
         assert np.array_equal(f_block[i], fplinq(net, w[i], 30))
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 12), seed=st.integers(0, 2**16), plain=st.booleans())
+def test_relabelling_links_permutes_allocations(k, seed, plain):
+    net = netgen.sample_layout(netgen.SystemParams(), k, seed)
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.05, 1.0, size=k)
+    perm = rng.permutation(k)
+    moved = netgen.NetworkInstance(
+        k_links=k, tx_pos=net.tx_pos[perm], rx_pos=net.rx_pos[perm],
+        gain=net.gain[np.ix_(perm, perm)], noise_power=net.noise_power)
+    mode = "plain" if plain else "normalized"
+    x, _ = run(net, w, TRAINED_LIKE, mode=mode, keep_trace=False)
+    x_moved, _ = run(moved, w[perm], TRAINED_LIKE, mode=mode,
+                     keep_trace=False)
+    # summation order changes; unnormalized plain steps amplify it more
+    # (up to 1.5e-12 relative over 1000 seeded draws)
+    rtol = 1e-11 if plain else 1e-12
+    assert np.allclose(x_moved, x[perm], rtol=rtol, atol=1e-13)
+    assert np.allclose(fplinq(moved, w[perm]), fplinq(net, w)[perm],
+                       rtol=1e-12, atol=1e-13)

@@ -21,10 +21,19 @@ def _loss_via_run(net, w, vec, n_layers, x0=0.01):
 
 
 def test_loss_is_negative_wsr():
+    # the training loss after kcut layers is minus the weighted sum-rate of
+    # run's allocation under the first kcut layers of the schedule
     net = netgen.sample_layout(P, 4, seed=1)
-    x = np.full(4, 0.5)
-    w = np.ones(4)
-    assert training.loss(x, w, net) == -rates.weighted_sum_rate(x, w, net)
+    w = np.random.default_rng(1).uniform(size=4)
+    vec = np.random.default_rng(2).uniform(0.002, 0.02, size=15)
+    for kcut in (1, 3, 5):
+        loss_val, _ = training._loss_and_grad(
+            stacked_gain(net.gain)[None], net.noise_power, w[None, :], vec,
+            kcut, 0.01)
+        head = np.concatenate([vec[:kcut], vec[5:5 + kcut],
+                               vec[10:10 + kcut]])
+        assert loss_val == pytest.approx(_loss_via_run(net, w, head, kcut),
+                                         rel=1e-12)
 
 
 def test_sample_weights_dists():
