@@ -11,6 +11,20 @@ HAND_GAIN = np.array([[2.0, 0.5], [0.25, 4.0]])
 HAND_X = np.array([1.0, 0.5])
 
 
+def test_sinr_hand_case():
+    net = toy_net(HAND_GAIN, noise=1.0)
+    s = rates.sinr_array(HAND_X, net.gain, net.noise_power)
+    assert s.shape == (2,)
+    assert s == pytest.approx([1.6, 1.6], rel=1e-15)
+    # a block of networks gives one SINR vector per network
+    sb = rates.sinr_array(np.stack([HAND_X, 2 * HAND_X]),
+                          np.stack([HAND_GAIN, HAND_GAIN]), 1.0)
+    assert sb.shape == (2, 2)
+    assert sb[0] == pytest.approx([1.6, 1.6], rel=1e-15)
+    # doubled powers: SINR_1 = 4/(1 + 0.5) = SINR_2 = 8/3
+    assert sb[1] == pytest.approx([8 / 3, 8 / 3], rel=1e-15)
+
+
 def test_rate_hand_case():
     # both SINRs are 1.6, so both rates are ln(2.6)
     net = toy_net(HAND_GAIN, noise=1.0)
