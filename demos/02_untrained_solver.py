@@ -11,17 +11,18 @@ Run: python3 demos/02_untrained_solver.py
 import numpy as np
 
 from d2dpower import netgen
-from d2dpower.rates import scalarization_frame, utopian_point, weighted_sum_rate
+from d2dpower.rates import utopian_point, weighted_sum_rate
 from d2dpower.solver import run, viva_defaults
 
 params = netgen.SystemParams()
 net = netgen.sample_layout(params, k=5, seed=7)
 w = np.ones(5)
 
-# --- the scalarization frame anchors the solve at the utopian point
-frame = scalarization_frame(net, w)
-print("utopian rates u [nats]:", np.round(utopian_point(net), 2))
-print("direction r = u/|u|  :", np.round(frame.r_dir, 3))
+# --- the scalarization frame anchors the solve at the utopian point:
+# a = -u and the unit direction r = u/|u|
+u = utopian_point(net)
+print("utopian rates u [nats]:", np.round(u, 2))
+print("direction r = u/|u|  :", np.round(u / np.linalg.norm(u), 3))
 
 # --- 60 layers of the constant default schedule
 sched = viva_defaults(60, constant=0.003)

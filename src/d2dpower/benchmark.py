@@ -3,8 +3,8 @@
 The figure of merit is the ratio of a solver's weighted sum-rate to the
 baseline's on the same instance and weights; a ratio above 1 beats the
 baseline. Sweeps re-evaluate one trained schedule across network scales
-without retraining.
-evaluate hands the solvers blocks of networks, not one network at a time.
+without retraining. Solvers follow one protocol, solver(net_or_block, w)
+-> x, shared with the scheduler; evaluate hands them blocks of networks.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ from itertools import groupby
 import numpy as np
 
 from . import netgen
-from .netgen import NetworkInstance, SystemParams
-from .rates import rate_array, solver_inputs, weighted_sum_rate
+from .netgen import SystemParams
+from .rates import rate_array, solver_inputs
+from .rates import weighted_sum_rate  # perfbench/tracing.py rebinds it
 from .solver import StepSchedule, run
 from .fplinq import fplinq
 from .training import sample_weights
@@ -26,7 +27,6 @@ from .training import sample_weights
 __all__ = [
     "EvalReport",
     "SweepPoint",
-    "performance_ratio",
     "make_test_set",
     "fplinq_point_solver",
     "schedule_point_solver",
@@ -48,14 +48,6 @@ SWEEP_AXES = ("k_fixed_area", "k_fixed_density", "snr_offset",
 BLOCK_BYTES = 2 ** 21
 
 
-def performance_ratio(net: NetworkInstance, w, x_hat, x_ref) -> float:
-    """Weighted sum-rate of x_hat relative to x_ref on the same network."""
-    ref = weighted_sum_rate(x_ref, w, net)
-    if ref == 0.0:
-        raise ZeroDivisionError("reference weighted sum-rate is zero")
-    return weighted_sum_rate(x_hat, w, net) / ref
-
-
 def make_test_set(params: SystemParams, k: int, count: int, seed,
                   weight_dist: str = "uniform01"):
     """List of (instance, weights) pairs from one seeded stream.
@@ -71,7 +63,8 @@ def make_test_set(params: SystemParams, k: int, count: int, seed,
 
 
 def fplinq_point_solver(iters: int = 100):
-    """Baseline for evaluate; solves one network or a block, like fplinq."""
+    """Baseline solver(net_or_block, w) -> x for evaluate and dpp_run;
+    solves one network or a block, like fplinq."""
     def solve(net, w):
         return fplinq(net, w, iters)
     return solve
@@ -79,8 +72,8 @@ def fplinq_point_solver(iters: int = 100):
 
 def schedule_point_solver(schedule: StepSchedule, mode: str = "normalized",
                           x0: float = 0.01):
-    """Unrolled solver for evaluate; solves one network or a block, like
-    solver.run."""
+    """Unrolled solver(net_or_block, w) -> x for evaluate; solves one
+    network or a block, like solver.run."""
     def solve(net, w):
         x, _ = run(net, w, schedule, mode=mode, x0=x0, keep_trace=False)
         return x

@@ -133,6 +133,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_schedule(args) -> int:
+    nets = [netgen.load_layout(path)[0] for path in args.layout]
+    if len({net.k_links for net in nets}) > 1:
+        print("schedule --layout needs layouts of one K", file=sys.stderr)
+        return 2
     util = scheduling.UtilitySpec(args.utility, args.v)
     if args.solver == "fplinq":
         solver = scheduling.fplinq_solver(args.iters)
@@ -140,18 +144,16 @@ def cmd_schedule(args) -> int:
         solver = scheduling.luva_solver(load_schedule(args.params_file),
                                         x0=args.x0)
     rows = []
-    for path in args.layout:
-        net, _ = netgen.load_layout(path)
+    for path, net in zip(args.layout, nets):
         res = scheduling.dpp_run(net, solver, util, t_total=args.slots,
                                  t_avg=args.avg)
         rows.append((path, res))
         print(f"{path}: utility {res.utility:.6f}, "
               f"gm {scheduling.geometric_mean(res.throughput):.6f}")
-    k = rows[0][1].throughput.shape[0]
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["network", "utility", "gm"]
-                        + [f"r_{i}" for i in range(k)])
+                        + [f"r_{i}" for i in range(nets[0].k_links)])
         for path, res in rows:
             writer.writerow(
                 [Path(path).name, _fmt(res.utility),

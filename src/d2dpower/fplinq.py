@@ -3,25 +3,18 @@
 Closed-form alternating updates with the auxiliary variables eliminated;
 each iteration costs O(K^2) and the weighted sum-rate never decreases.
 Powers start at full, x = 1. fplinq() solves one network, or a block of
-networks (same K and noise, weights (B, K)) in one batched call.
+networks (same K and noise, weights (B, K)) in one batched call;
+fp_iterate() runs the updates from any start on unchecked plain arrays.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .netgen import NetworkInstance
 from .rates import offdiag, solver_inputs
 
-__all__ = ["FpState", "fp_step", "fplinq", "fp_iterate"]
-
-
-@dataclass
-class FpState:
-    x: np.ndarray
-    k: int = 0
+__all__ = ["fplinq", "fp_iterate"]
 
 
 def fp_iterate(x, w, gain, gain_off, noise, iters: int):
@@ -47,13 +40,6 @@ def fp_iterate(x, w, gain, gain_off, noise, iters: int):
             x = np.where(denom > 0.0,
                          np.minimum(1.0, y2 * boost / denom), 0.0)
     return x
-
-
-def fp_step(state: FpState, net: NetworkInstance, w) -> FpState:
-    """One update; the weights pass rates.solver_inputs."""
-    gain, noise, w = solver_inputs(net, w)
-    x = fp_iterate(state.x, w, gain, offdiag(gain), noise, 1)
-    return FpState(x=x, k=state.k + 1)
 
 
 def fplinq(net: NetworkInstance, w, iters: int = 100) -> np.ndarray:

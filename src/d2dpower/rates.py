@@ -1,4 +1,4 @@
-"""Per-link rates, their Jacobian, and the scalarization frame.
+"""Per-link rates, their Jacobian, the utopian point, and input checks.
 
 Rates are natural-log spectral efficiencies, R_i = ln(1 + SINR_i), so every
 step-size and utility constant downstream is in nats. Array helpers broadcast
@@ -8,14 +8,11 @@ single-network API.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .netgen import NetworkInstance
 
 __all__ = [
-    "ScalarizationFrame",
     "solver_inputs",
     "rate_vector",
     "rate_vector_logdiff",
@@ -23,7 +20,6 @@ __all__ = [
     "weighted_sum_rate",
     "rate_jacobian",
     "utopian_point",
-    "scalarization_frame",
 ]
 
 
@@ -59,6 +55,14 @@ def rate_array(x, gain, noise):
     return np.log1p(sinr_array(x, gain, noise))
 
 
+def _nonnegative(name: str, values) -> np.ndarray:
+    """values as a float array; ValueError unless all finite and >= 0."""
+    arr = np.asarray(values, dtype=float)
+    if not 0.0 <= arr.min() <= arr.max() < np.inf:  # False for any NaN
+        raise ValueError(f"{name} must be finite and nonnegative")
+    return arr
+
+
 # NetworkInstance wrappers.
 
 def solver_inputs(net, w):
@@ -82,11 +86,8 @@ def solver_inputs(net, w):
     if w.shape != gain.shape[:-1]:
         raise ValueError(f"weights must have shape {gain.shape[:-1]}")
     # ndarray methods, not np.all/np.any: this runs on every solver call
-    if not np.isfinite(w).all():
-        raise ValueError("weights must be finite")
-    if (w < 0.0).any() or not (w > 0.0).any(axis=-1).all():
-        raise ValueError("weights must be nonnegative with at least one "
-                         "positive per network")
+    if not (_nonnegative("weights", w).max(-1) > 0.0).all():
+        raise ValueError("weights need one positive entry per network")
     if not (gain.diagonal(axis1=-2, axis2=-1) / noise > 0.0).all():
         raise ValueError("degenerate network: zero single-user rate")
     return gain, noise, w
@@ -94,7 +95,7 @@ def solver_inputs(net, w):
 
 def rate_vector(x, net: NetworkInstance) -> np.ndarray:
     """Per-link rates ln(1 + SINR_i) in nats."""
-    return np.log1p(sinr_array(x, net.gain, net.noise_power))
+    return rate_array(x, net.gain, net.noise_power)
 
 
 def rate_vector_logdiff(x, net: NetworkInstance) -> np.ndarray:
@@ -131,19 +132,3 @@ def utopian_point(net: NetworkInstance) -> np.ndarray:
     direct = np.diagonal(net.gain)
     return np.log1p(direct / net.noise_power)
 
-
-@dataclass(frozen=True)
-class ScalarizationFrame:
-    """Anchor a = -u, unit direction r = u/|u|, and weights for one solve."""
-
-    u: np.ndarray
-    a: np.ndarray
-    r_dir: np.ndarray
-    w: np.ndarray
-
-
-def scalarization_frame(net: NetworkInstance, w) -> ScalarizationFrame:
-    """Frame for a weighted solve; the weights pass solver_inputs."""
-    _, _, w = solver_inputs(net, w)
-    u = utopian_point(net)
-    return ScalarizationFrame(u=u, a=-u, r_dir=u / np.linalg.norm(u), w=w)

@@ -4,7 +4,8 @@ Each slot solves three subproblems: auxiliary arrivals that trade the chosen
 utility against queue backlogs (closed forms below), a weighted sum-rate
 power allocation with the queues as weights, and the queue update itself.
 Time-averaged rates then converge toward the utility-optimal operating point
-as the penalty weight V grows, at the price of larger queues.
+as the penalty weight V grows, at the price of larger queues. The per-slot
+solvers are evaluate's, solver(net, w) -> x (see benchmark).
 """
 
 from __future__ import annotations
@@ -13,10 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .benchmark import fplinq_point_solver as fplinq_solver
+from .benchmark import schedule_point_solver
 from .netgen import NetworkInstance
-from .rates import rate_vector, utopian_point
-from .solver import StepSchedule, run
-from .fplinq import fplinq
+from .rates import _nonnegative, rate_vector, utopian_point
+from .solver import StepSchedule
+from .solver import run  # perfbench/tracing.py rebinds it
+from .fplinq import fplinq  # perfbench/tracing.py rebinds it
 
 __all__ = [
     "UtilitySpec",
@@ -47,14 +51,6 @@ class UtilitySpec:
             raise ValueError(f"kind must be one of {UTILITIES}")
         if not (np.isfinite(self.v) and self.v >= 0.0):
             raise ValueError("v must be finite and nonnegative")
-
-
-def _nonnegative(name: str, values) -> np.ndarray:
-    """values as a float array; ValueError unless all finite and >= 0."""
-    arr = np.asarray(values, dtype=float)
-    if not 0.0 <= arr.min() <= arr.max() < np.inf:  # False for any NaN
-        raise ValueError(f"{name} must be finite and nonnegative")
-    return arr
 
 
 def queue_update(q, rates, arrivals) -> np.ndarray:
@@ -108,27 +104,13 @@ def utility_value(util: UtilitySpec, throughput, u) -> float:
     return float(np.min(thr / np.asarray(u, dtype=float)))
 
 
-def fplinq_solver(iters: int = 100):
-    """Per-slot solver callable built on the baseline."""
-
-    def solve(net: NetworkInstance, w):
-        return fplinq(net, w, iters)
-
-    solve.normalize_weights = False
-    return solve
-
-
 def luva_solver(schedule: StepSchedule, mode: str = "normalized",
                 x0: float = 0.01):
-    """Per-slot solver callable built on the unrolled solver. Queue weights
-    are max-normalized before solving (flagged for dpp_run)."""
-
-    def solve(net: NetworkInstance, w):
-        x, _ = run(net, w, schedule, mode=mode, x0=x0, keep_trace=False)
-        return x
-
-    solve.normalize_weights = True
-    return solve
+    """schedule_point_solver on each network's queues divided by their max,
+    the weight scale the schedule was trained on. FPLinQ is invariant to
+    that scale, so fplinq_solver (fplinq_point_solver) takes raw queues."""
+    solve = schedule_point_solver(schedule, mode=mode, x0=x0)
+    return lambda net, q: solve(net, q / q.max(-1, keepdims=True))
 
 
 @dataclass
@@ -157,7 +139,6 @@ def dpp_run(net: NetworkInstance, solver, util: UtilitySpec,
     k = net.k_links
     u = utopian_point(net)
     a_max = float(np.max(u))
-    normalize = bool(getattr(solver, "normalize_weights", False))
 
     q = _nonnegative("q0", np.full(k, float(q0)))
     q_trace = np.empty((t_total + 1, k))
@@ -169,11 +150,8 @@ def dpp_run(net: NetworkInstance, solver, util: UtilitySpec,
             a = aux_proportional(q, util.v, a_max)
         else:
             a = aux_maxmin(q, util.v, u)
-        top = float(np.max(q))
-        if top > 0.0:
-            w = q / top if normalize else q
-            x = solver(net, w)
-            r = rate_vector(x, net)
+        if q.max() > 0.0:
+            r = rate_vector(solver(net, q), net)
         else:
             r = np.zeros(k)  # all queues empty: nothing worth serving
         q = queue_update(q, r, a)

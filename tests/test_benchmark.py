@@ -11,10 +11,10 @@ from conftest import toy_net
 from d2dpower import benchmark, netgen
 from d2dpower.benchmark import (EvalReport, cdf_points, evaluate,
                                 fplinq_point_solver, make_test_set,
-                                performance_ratio, report_to_csv,
-                                schedule_point_solver, sweep_generalization,
-                                sweep_to_csv)
+                                report_to_csv, schedule_point_solver,
+                                sweep_generalization, sweep_to_csv)
 from d2dpower.fplinq import fplinq
+from d2dpower.rates import weighted_sum_rate
 from d2dpower.solver import StepSchedule, run, viva_defaults
 
 P = netgen.SystemParams()
@@ -22,12 +22,23 @@ P = netgen.SystemParams()
 
 def test_performance_ratio_hand_case():
     net = toy_net([[4.0]], noise=1.0)
-    w = np.ones(1)
+
+    def constant(value):
+        return lambda nets, ws: np.full(ws.shape, value)
+
     # wsr(x=1) = ln 5, wsr(x=0.25) = ln 2
-    r = performance_ratio(net, w, np.array([0.25]), np.array([1.0]))
-    assert r == pytest.approx(np.log(2.0) / np.log(5.0), rel=1e-14)
-    with pytest.raises(ZeroDivisionError):
-        performance_ratio(net, w, np.array([1.0]), np.array([0.0]))
+    ratio = np.log(2.0) / np.log(5.0)
+    rep = evaluate([(net, np.ones(1))], constant(0.25), constant(1.0))
+    assert rep.skipped == 0
+    assert rep.ratios.tolist() == pytest.approx([ratio], rel=1e-14)
+    # a zero reference sum-rate is skipped and counted, not divided by
+    pair = [(net, np.ones(1)), (net, np.ones(1))]
+    rep = evaluate(pair, constant(0.25),
+                   lambda nets, ws: np.array([[0.0], [1.0]]))
+    assert rep.skipped == 1
+    assert rep.ratios.tolist() == pytest.approx([ratio], rel=1e-14)
+    with pytest.raises(ValueError):  # every instance skipped
+        evaluate(pair, constant(0.25), constant(0.0))
 
 
 def test_make_test_set_deterministic():
@@ -102,10 +113,11 @@ def test_block_evaluate_matches_per_network_loop(monkeypatch, k):
     for net, w in test:
         x_a, _ = run(net, w, sched, keep_trace=False)
         x_b = np.zeros(k) if net is zero_net else fplinq(net, w, 100)
-        try:
-            ratios.append(performance_ratio(net, w, x_a, x_b))
-        except ZeroDivisionError:
+        ref = weighted_sum_rate(x_b, w, net)
+        if ref == 0.0:
             skipped += 1
+        else:
+            ratios.append(weighted_sum_rate(x_a, w, net) / ref)
     assert rep.skipped == skipped == 1
     assert np.allclose(rep.ratios, ratios, rtol=1e-12, atol=0.0)
 

@@ -153,6 +153,19 @@ def test_schedule_luva_requires_params_file(layout_dir, capsys):
     assert "params-file" in capsys.readouterr().err
 
 
+def test_schedule_rejects_layouts_of_mixed_k(tmp_path, capsys):
+    for k in (3, 5):
+        assert run_cli("generate", "--k", k, "--seed", k,
+                       "--out", tmp_path) == 0
+    out = tmp_path / "dpp.csv"
+    rc = run_cli("schedule", "--layout", *sorted(tmp_path.glob("*.json")),
+                 "--solver", "fplinq", "--utility", "proportional",
+                 "--slots", 5, "--avg", 2, "--out", out)
+    assert rc == 2
+    assert "one K" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_subcommand_exits():
     with pytest.raises(SystemExit):
         run_cli("frobnicate")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import toy_net
 from d2dpower import netgen, rates
-from d2dpower.fplinq import FpState, fp_iterate, fp_step, fplinq
+from d2dpower.fplinq import fp_iterate, fplinq
 
 
 def test_single_link_keeps_full_power():
@@ -52,11 +52,12 @@ def test_wsr_never_decreases():
     for seed in range(10):
         net = netgen.sample_layout(p, 10, seed=seed)
         w = rng.uniform(size=10)
-        st = FpState(x=np.ones(10))
-        prev = rates.weighted_sum_rate(st.x, w, net)
+        gain_off = rates.offdiag(net.gain)
+        x = np.ones(10)
+        prev = rates.weighted_sum_rate(x, w, net)
         for _ in range(60):
-            st = fp_step(st, net, w)
-            cur = rates.weighted_sum_rate(st.x, w, net)
+            x = fp_iterate(x, w, net.gain, gain_off, net.noise_power, 1)
+            cur = rates.weighted_sum_rate(x, w, net)
             assert cur >= prev * (1.0 - 1e-9)
             prev = cur
 
@@ -73,14 +74,12 @@ def test_fp_step_counts_and_matches_iterate():
     p = netgen.SystemParams()
     net = netgen.sample_layout(p, 6, seed=77)
     w = np.random.default_rng(77).uniform(size=6)
-    st = FpState(x=np.ones(6))
+    # seven single steps end where fplinq's seven iterations do
+    x = np.ones(6)
     for _ in range(7):
-        st = fp_step(st, net, w)
-    assert st.k == 7
-    direct = fp_iterate(np.ones(6), w, net.gain, rates.offdiag(net.gain),
-                        net.noise_power, 7)
-    assert np.array_equal(st.x, direct)
-    assert np.array_equal(fplinq(net, w, 7), direct)
+        x = fp_iterate(x, w, net.gain, rates.offdiag(net.gain),
+                       net.noise_power, 1)
+    assert np.array_equal(x, fplinq(net, w, 7))
 
 
 def test_rejects_negative_weights_and_iters():
@@ -89,8 +88,6 @@ def test_rejects_negative_weights_and_iters():
         fplinq(net, np.array([-1.0]), 10)
     with pytest.raises(ValueError):
         fplinq(net, np.ones(1), -1)
-    with pytest.raises(ValueError):
-        fp_step(FpState(x=np.ones(1)), net, np.array([-1.0]))
 
 
 def test_zero_iters_returns_start():

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import toy_net
 from d2dpower import netgen, rates
+from d2dpower.solver import _frame_dots
 
 # 2-link hand case: SINR_1 = 2/(1 + 0.25) = 1.6, SINR_2 = 2/(1 + 0.25) = 1.6
 HAND_GAIN = np.array([[2.0, 0.5], [0.25, 4.0]])
@@ -164,23 +165,18 @@ def test_utopian_attained_by_lone_full_power():
 
 
 def test_scalarization_frame_geometry():
-    net = toy_net(HAND_GAIN, noise=1.0)
-    w = np.array([0.5, 0.5])
-    fr = rates.scalarization_frame(net, w)
-    assert np.array_equal(fr.a, -fr.u)
-    assert np.linalg.norm(fr.r_dir) == pytest.approx(1.0, rel=1e-15)
-    assert np.allclose(fr.r_dir * np.linalg.norm(fr.u), fr.u, rtol=1e-15)
-    assert np.array_equal(fr.w, w)
-
-
-def test_scalarization_frame_rejects_bad_weights():
-    net = toy_net(HAND_GAIN, noise=1.0)
-    with pytest.raises(ValueError):
-        rates.scalarization_frame(net, np.array([-0.1, 1.0]))
-    with pytest.raises(ValueError):
-        rates.scalarization_frame(net, np.zeros(2))
-    with pytest.raises(ValueError):
-        rates.scalarization_frame(net, np.ones(3))
+    # solver._frame_dots gives (a.w, r.w) for a = -u and r = u/|u|
+    nets = [toy_net(HAND_GAIN), toy_net(2.0 * HAND_GAIN)]
+    ws = np.array([[0.5, 0.5], [0.25, 1.0]])
+    u = np.array([rates.utopian_point(net) for net in nets])
+    expect_a = -(ws * u).sum(-1)
+    expect_r = (ws * u).sum(-1) / np.linalg.norm(u, axis=-1)
+    for net, w, a, r in zip(nets, ws, expect_a, expect_r):
+        dots = _frame_dots(rates.stacked_gain(net.gain), 1.0, w)
+        assert dots == pytest.approx((a, r), rel=1e-15)
+    gain = np.stack([net.gain for net in nets])
+    dots = _frame_dots(rates.stacked_gain(gain), 1.0, ws)
+    assert np.allclose(dots, (expect_a, expect_r), rtol=1e-15, atol=0.0)
 
 
 def test_batched_helpers_match_loop():

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import toy_net
-from d2dpower import netgen, scheduling
+from d2dpower import benchmark, netgen, scheduling
 from d2dpower.rates import rate_vector, utopian_point
 from d2dpower.scheduling import (UtilitySpec, aux_maxmin, aux_proportional,
                                  dpp_run, fplinq_solver, geometric_mean,
                                  luva_solver, queue_update, utility_value)
-from d2dpower.solver import viva_defaults
+from d2dpower.fplinq import fplinq
+from d2dpower.solver import run, viva_defaults
 
 P = netgen.SystemParams()
 
@@ -144,8 +145,23 @@ def test_utility_spec_validation():
 
 
 def test_solver_callables_flag_normalization():
-    assert fplinq_solver(10).normalize_weights is False
-    assert luva_solver(viva_defaults(3)).normalize_weights is True
+    # LUVA sees the queues divided by their max, FPLinQ the raw queues
+    net = netgen.sample_layout(P, 5, seed=4)
+    sched = viva_defaults(3)
+    for q in (np.array([3.0, 0.5, 7.25, 0.0, 1.0]), np.full(5, 0.2)):
+        x = luva_solver(sched)(net, q)
+        assert np.array_equal(
+            x, run(net, q / q.max(), sched, keep_trace=False)[0])
+        assert not np.array_equal(
+            x, run(net, q, sched, keep_trace=False)[0])
+        assert np.array_equal(fplinq_solver(10)(net, q), fplinq(net, q, 10))
+    # in a block, each network's queues are divided by their own max
+    nets = [net, netgen.sample_layout(P, 5, seed=5)]
+    qs = np.stack([q, 4.0 * q])
+    assert np.array_equal(
+        luva_solver(sched)(nets, qs),
+        run(nets, np.stack([q, q]) / q.max(), sched, keep_trace=False)[0])
+    assert fplinq_solver is benchmark.fplinq_point_solver
 
 
 def test_dpp_run_shapes_and_bookkeeping():
