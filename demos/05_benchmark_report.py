@@ -9,7 +9,7 @@ Run: python3 demos/05_benchmark_report.py
 
 import numpy as np
 
-from d2dpower.benchmark import (evaluate, fplinq_point_solver, make_test_set,
+from d2dpower.benchmark import (cdf_points, evaluate, make_test_set,
                                 report_to_csv, schedule_point_solver,
                                 sweep_generalization, sweep_to_csv)
 from d2dpower.netgen import SystemParams
@@ -32,12 +32,12 @@ print(f"  untrained  mean {untrained.mean:.4f}  std {untrained.std:.4f}")
 print(f"  trained    mean {trained.mean:.4f}  std {trained.std:.4f}  "
       f"frac >= 1: {trained.frac_at_least_one:.2f}")
 
-# --- the ratio distribution, read off the stored CDF
+# --- the ratio distribution, read off its empirical CDF
+values, fractions = cdf_points(trained.ratios)
 print("\ntrained ratio CDF:")
 for q in (0.1, 0.25, 0.5, 0.75, 0.9):
-    idx = int(np.searchsorted(trained.cdf_fractions, q))
-    print(f"  {int(q * 100):3d}% of layouts at ratio <= "
-          f"{trained.cdf_values[idx]:.4f}")
+    idx = int(np.searchsorted(fractions, q))
+    print(f"  {int(q * 100):3d}% of layouts at ratio <= {values[idx]:.4f}")
 
 # --- does a schedule trained at K=10 survive other network sizes?
 points = sweep_generalization(sched, "k_fixed_area", [5, 10, 15], params,
@@ -48,6 +48,6 @@ for pt in points:
           f"(std {pt.std_ratio:.4f}, {pt.count} instances)")
 
 # --- both objects serialize to CSV for plotting elsewhere
-report_to_csv(trained, "/tmp/demo_report.csv")
-sweep_to_csv(points, "/tmp/demo_sweep.csv")
-print("\nwrote /tmp/demo_report.csv and /tmp/demo_sweep.csv")
+report_to_csv(trained, "demo_report.csv")
+sweep_to_csv(points, "demo_sweep.csv")
+print("\nwrote demo_report.csv and demo_sweep.csv to the working directory")

@@ -10,7 +10,6 @@ without retraining. Solvers follow one protocol, solver(net_or_block, w)
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, replace
 from itertools import groupby
 
@@ -82,46 +81,14 @@ def schedule_point_solver(schedule: StepSchedule, mode: str = "normalized",
 
 @dataclass
 class EvalReport:
-    """Per-instance ratios plus summary statistics."""
+    """Per-instance ratios plus summary statistics; cdf_points(ratios)
+    gives their CDF."""
 
     ratios: np.ndarray
     mean: float
     std: float
     frac_at_least_one: float
     skipped: int
-    hist_edges: np.ndarray
-    hist_counts: np.ndarray
-    cdf_values: np.ndarray
-    cdf_fractions: np.ndarray
-
-    def to_json(self) -> str:
-        doc = {
-            "ratios": self.ratios.tolist(),
-            "mean": self.mean,
-            "std": self.std,
-            "frac_at_least_one": self.frac_at_least_one,
-            "skipped": self.skipped,
-            "hist_edges": self.hist_edges.tolist(),
-            "hist_counts": self.hist_counts.tolist(),
-            "cdf_values": self.cdf_values.tolist(),
-            "cdf_fractions": self.cdf_fractions.tolist(),
-        }
-        return json.dumps(doc)
-
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        doc = json.loads(text)
-        return cls(
-            ratios=np.asarray(doc["ratios"], dtype=float),
-            mean=doc["mean"],
-            std=doc["std"],
-            frac_at_least_one=doc["frac_at_least_one"],
-            skipped=int(doc["skipped"]),
-            hist_edges=np.asarray(doc["hist_edges"], dtype=float),
-            hist_counts=np.asarray(doc["hist_counts"], dtype=int),
-            cdf_values=np.asarray(doc["cdf_values"], dtype=float),
-            cdf_fractions=np.asarray(doc["cdf_fractions"], dtype=float),
-        )
 
 
 def cdf_points(values):
@@ -149,8 +116,7 @@ def _blocks(test_set):
             yield entries[i:i + cap]
 
 
-def evaluate(test_set, solver_a, solver_b=None, hist_bins: int = 20
-             ) -> EvalReport:
+def evaluate(test_set, solver_a, solver_b=None) -> EvalReport:
     """Ratio of solver_a to solver_b (default: 100-iteration baseline) on
     every instance. Each solver runs once per block (see _blocks), as
     solver(nets, ws) with B networks and weights (B, K), returning powers
@@ -175,18 +141,12 @@ def evaluate(test_set, solver_a, solver_b=None, hist_bins: int = 20
     if not ratios:
         raise ValueError("every instance was skipped")
     arr = np.asarray(ratios)
-    counts, edges = np.histogram(arr, bins=hist_bins)
-    cdf_v, cdf_f = cdf_points(arr)
     return EvalReport(
         ratios=arr,
         mean=float(arr.mean()),
         std=float(arr.std()),
         frac_at_least_one=float(np.mean(arr >= 1.0)),
         skipped=skipped,
-        hist_edges=edges,
-        hist_counts=counts,
-        cdf_values=cdf_v,
-        cdf_fractions=cdf_f,
     )
 
 
@@ -227,14 +187,13 @@ def sweep_generalization(schedule: StepSchedule, axis: str, grid,
                          count: int = 200, seed: int = 0,
                          weight_dist: str = "uniform01",
                          baseline_iters: int = 100,
-                         mode: str = "normalized",
                          x0: float = 0.01) -> list[SweepPoint]:
     """Evaluate one schedule against the baseline across a parameter grid.
 
     Each grid point gets a fresh test set seeded by (seed, point index), so
     results are reproducible point by point.
     """
-    solver_a = schedule_point_solver(schedule, mode=mode, x0=x0)
+    solver_a = schedule_point_solver(schedule, x0=x0)
     solver_b = fplinq_point_solver(baseline_iters)
     points = []
     for i, setting in enumerate(grid):

@@ -20,7 +20,7 @@ from . import benchmark, netgen, scheduling, training
 from .benchmark import _fmt
 from .netgen import SystemParams
 from .rates import weighted_sum_rate
-from .solver import load_schedule, run, save_schedule, viva_defaults
+from .solver import load_schedule, save_schedule, viva_defaults
 
 
 def load_params(path) -> SystemParams:
@@ -71,15 +71,14 @@ def _run_one_shot(args) -> int:
     net, _ = netgen.load_layout(args.layout)
     w = _weights_for(net, args.weights, args.seed)
     if solver_name == "fplinq":
-        from .fplinq import fplinq
-        x = fplinq(net, w, args.iters)
+        solve = benchmark.fplinq_point_solver(args.iters)
     else:
         if solver_name == "viva":
             sched = viva_defaults(args.iters, args.constant)
         else:
             sched = load_schedule(args.params_file)
-        x, _ = run(net, w, sched, mode=args.mode, x0=args.x0,
-                   keep_trace=False)
+        solve = benchmark.schedule_point_solver(sched, args.mode, args.x0)
+    x = solve(net, w)
     wsr = weighted_sum_rate(x, w, net)
     print(f"{solver_name}: wsr {wsr:.6f} nats, "
           f"active links {int(np.sum(x > 0.5))}/{net.k_links}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields, replace
 
 import numpy as np
 
@@ -47,6 +47,9 @@ class SystemParams:
     area_side_m: float = 500.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if not (0.0 < self.d_min_m < self.d_max_m):
             raise ValueError("need 0 < d_min_m < d_max_m")
         if self.area_side_m <= 0.0:
@@ -140,12 +143,11 @@ def gains_from_geometry(tx_pos: np.ndarray, rx_pos: np.ndarray,
 
 
 def _geometry(params: SystemParams, k: int, rng: np.random.Generator,
-              count: int | None = None):
+              count: int):
     # Draw order is fixed: tx, radii, angles. Changing it changes seeds.
-    lead = () if count is None else (count,)
-    tx = rng.uniform(0.0, params.area_side_m, size=lead + (k, 2))
-    radii = rng.uniform(params.d_min_m, params.d_max_m, size=lead + (k,))
-    angles = rng.uniform(0.0, 2.0 * np.pi, size=lead + (k,))
+    tx = rng.uniform(0.0, params.area_side_m, size=(count, k, 2))
+    radii = rng.uniform(params.d_min_m, params.d_max_m, size=(count, k))
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=(count, k))
     offset = radii[..., None] * np.stack(
         [np.cos(angles), np.sin(angles)], axis=-1)
     return tx, tx + offset
@@ -155,16 +157,7 @@ def sample_layout(params: SystemParams, k: int, seed: int) -> NetworkInstance:
     """Sample one network instance; identical seeds give identical instances."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    rng = np.random.default_rng(seed)
-    tx, rx = _geometry(params, k, rng)
-    return NetworkInstance(
-        k_links=k,
-        tx_pos=tx,
-        rx_pos=rx,
-        gain=gains_from_geometry(tx, rx, params),
-        noise_power=noise_power_mw(params),
-        seed=seed,
-    )
+    return replace(sample_instances(params, k, 1, seed)[0], seed=seed)
 
 
 def sample_instances(params: SystemParams, k: int, count: int,

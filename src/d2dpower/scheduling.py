@@ -85,18 +85,16 @@ def aux_maxmin(q, v: float, u) -> np.ndarray:
 
 
 def geometric_mean(values) -> float:
-    """Geometric mean of nonnegative values; zero if any value is zero."""
-    vals = np.asarray(values, dtype=float)
-    if np.any(vals < 0.0):
-        raise ValueError("values must be nonnegative")
+    """Geometric mean of finite nonnegative values; zero if any is zero."""
+    vals = _nonnegative("values", values)
     if np.any(vals == 0.0):
         return 0.0
     return float(np.exp(np.mean(np.log(vals))))
 
 
 def utility_value(util: UtilitySpec, throughput, u) -> float:
-    """Realized utility of a throughput vector."""
-    thr = np.asarray(throughput, dtype=float)
+    """Realized utility of a finite nonnegative throughput vector."""
+    thr = _nonnegative("throughput", throughput)
     if util.kind == "proportional":
         if np.any(thr <= 0.0):
             return -np.inf
@@ -104,12 +102,11 @@ def utility_value(util: UtilitySpec, throughput, u) -> float:
     return float(np.min(thr / np.asarray(u, dtype=float)))
 
 
-def luva_solver(schedule: StepSchedule, mode: str = "normalized",
-                x0: float = 0.01):
+def luva_solver(schedule: StepSchedule, x0: float = 0.01):
     """schedule_point_solver on each network's queues divided by their max,
     the weight scale the schedule was trained on. FPLinQ is invariant to
     that scale, so fplinq_solver (fplinq_point_solver) takes raw queues."""
-    solve = schedule_point_solver(schedule, mode=mode, x0=x0)
+    solve = schedule_point_solver(schedule, x0=x0)
     return lambda net, q: solve(net, q / q.max(-1, keepdims=True))
 
 
@@ -126,9 +123,9 @@ class DppResult:
 
 
 def dpp_run(net: NetworkInstance, solver, util: UtilitySpec,
-            t_total: int = 1000, t_avg: int = 500,
-            q0: float = 1.0) -> DppResult:
-    """Run the scheduler for t_total slots; average the last t_avg.
+            t_total: int = 1000, t_avg: int = 500) -> DppResult:
+    """Run the scheduler for t_total slots from unit queues; average the
+    last t_avg.
 
     Per slot: (i) auxiliary arrivals from the closed form, (ii) weighted
     sum-rate allocation with the current queues as weights, (iii) queue
@@ -140,7 +137,7 @@ def dpp_run(net: NetworkInstance, solver, util: UtilitySpec,
     u = utopian_point(net)
     a_max = float(np.max(u))
 
-    q = _nonnegative("q0", np.full(k, float(q0)))
+    q = np.ones(k)
     q_trace = np.empty((t_total + 1, k))
     q_trace[0] = q
     rate_trace = np.empty((t_total, k))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import toy_net
 from d2dpower import benchmark, netgen
-from d2dpower.benchmark import (EvalReport, cdf_points, evaluate,
+from d2dpower.benchmark import (cdf_points, evaluate,
                                 fplinq_point_solver, make_test_set,
                                 report_to_csv, schedule_point_solver,
                                 sweep_generalization, sweep_to_csv)
@@ -127,8 +127,6 @@ def test_evaluate_against_trained_style_solver():
     rep = evaluate(test, schedule_point_solver(viva_defaults(10)))
     assert rep.ratios.shape == (10,)
     assert 0.0 < rep.mean < 2.0
-    assert rep.hist_counts.sum() == 10
-    assert rep.cdf_fractions[-1] == 1.0
 
 
 def test_cdf_points_oracles():
@@ -150,18 +148,6 @@ def test_cdf_points_monotone_with_unit_mass(vals):
     assert np.all(np.diff(f) > 0.0)
     assert f[-1] == pytest.approx(1.0, rel=1e-12)
     assert f[0] > 0.0
-
-
-def test_report_json_roundtrip():
-    test = make_test_set(P, 4, 5, seed=2)
-    rep = evaluate(test, schedule_point_solver(viva_defaults(5)))
-    back = EvalReport.from_json(rep.to_json())
-    assert np.array_equal(back.ratios, rep.ratios)
-    assert back.mean == rep.mean
-    assert back.std == rep.std
-    assert np.array_equal(back.hist_edges, rep.hist_edges)
-    assert np.array_equal(back.cdf_values, rep.cdf_values)
-    assert back.skipped == rep.skipped
 
 
 def test_report_csv_values_roundtrip(tmp_path):

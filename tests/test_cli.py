@@ -63,6 +63,13 @@ def test_load_params_rejects_unknown_keys(tmp_path):
         cli.load_params(cfg)
 
 
+def test_load_params_rejects_nonfinite_values(tmp_path):
+    cfg = tmp_path / "inf.json"
+    cfg.write_text('{"carrier_hz": Infinity}')
+    with pytest.raises(ValueError, match="carrier_hz"):
+        cli.load_params(cfg)
+
+
 def _read_alloc(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))

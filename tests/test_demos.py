@@ -18,3 +18,6 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path,
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    if demo.name == "05_benchmark_report.py":
+        for name in ("demo_report.csv", "demo_sweep.csv"):
+            assert (tmp_path / name).is_file()

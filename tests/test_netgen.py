@@ -1,5 +1,6 @@
 """Network generator: pathloss model, noise, geometry, serialization."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -100,6 +101,10 @@ def test_system_params_validation():
         SystemParams(area_side_m=-1.0)
     with pytest.raises(ValueError):
         SystemParams(bandwidth_hz=0.0)
+    for field in dataclasses.fields(SystemParams):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=field.name):
+                SystemParams(**{field.name: bad})
 
 
 def test_gains_from_geometry_entrywise():
@@ -212,6 +217,18 @@ def test_sample_instances_matches_batch_stream():
     # tuple seeds are a distinct stream
     other = netgen.sample_instances(p, 6, 4, seed=(99, 1))
     assert not np.array_equal(nets[0].gain, other[0].gain)
+
+
+def test_sample_layout_is_one_draw_of_sample_instances():
+    for p in (SystemParams(), SystemParams(d_max_m=30.0, area_side_m=80.0)):
+        for k, seed in ((1, 0), (5, 7), (40, (3, 1))):
+            net = netgen.sample_layout(p, k, seed)
+            (ref,) = netgen.sample_instances(p, k, 1, seed)
+            assert np.array_equal(net.tx_pos, ref.tx_pos)
+            assert np.array_equal(net.rx_pos, ref.rx_pos)
+            assert np.array_equal(net.gain, ref.gain)
+            assert net.noise_power == ref.noise_power
+            assert net.seed == seed
 
 
 def test_gain_batch_consistent_with_instances():

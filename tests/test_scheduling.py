@@ -116,8 +116,9 @@ def test_geometric_mean():
     assert geometric_mean([2.0, 8.0]) == pytest.approx(4.0, rel=1e-14)
     assert geometric_mean([3.0]) == pytest.approx(3.0, rel=1e-14)
     assert geometric_mean([1.0, 0.0, 5.0]) == 0.0
-    with pytest.raises(ValueError):
-        geometric_mean([-1.0])
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="values"):
+            geometric_mean([bad, 1.0])
 
 
 @settings(max_examples=100, deadline=None)
@@ -135,6 +136,10 @@ def test_utility_value():
     assert utility_value(pf, [0.0, 1.0], u) == -np.inf
     mm = UtilitySpec("maxmin", 40.0)
     assert utility_value(mm, [0.5, 0.5], u) == pytest.approx(0.25)
+    for util in (pf, mm):
+        for bad in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="throughput"):
+                utility_value(util, [bad, 1.0], u)
 
 
 def test_utility_spec_validation():
@@ -179,10 +184,6 @@ def test_dpp_run_shapes_and_bookkeeping():
     with pytest.raises(ValueError):
         dpp_run(net, fplinq_solver(20), UtilitySpec("proportional", 10.0),
                 t_total=10, t_avg=11)
-    for q0 in (-1.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="q0"):
-            dpp_run(net, fplinq_solver(20), UtilitySpec("maxmin", 40.0),
-                    t_total=10, t_avg=5, q0=q0)
 
 
 def test_dpp_run_deterministic():
