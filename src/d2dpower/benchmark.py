@@ -10,7 +10,7 @@ without retraining. Solvers follow one protocol, solver(net_or_block, w)
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from itertools import groupby
 
 import numpy as np
@@ -139,7 +139,8 @@ def evaluate(test_set, solver_a, solver_b=None) -> EvalReport:
         skipped += int(np.count_nonzero(~ok))
         ratios.extend(wsr[0][ok] / wsr[1][ok])
     if not ratios:
-        raise ValueError("every instance was skipped")
+        raise ValueError("every instance was skipped" if skipped
+                         else "the test set is empty")
     arr = np.asarray(ratios)
     return EvalReport(
         ratios=arr,
@@ -208,31 +209,25 @@ def sweep_generalization(schedule: StepSchedule, axis: str, grid,
     return points
 
 
-def _fmt(v) -> str:
-    """Float as its shortest round-trip repr, for every CSV writer."""
-    return repr(float(v))
+def _write_csv(path, header, rows) -> None:
+    """Header, then rows; every float, numpy's included, as its shortest
+    round-trip repr. All of the package's CSV goes through here."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v
+                          for v in row] for row in rows)
 
 
 def report_to_csv(report: EvalReport, path) -> None:
     """Per-instance rows, then one summary row."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["instance", "ratio"])
-        for i, r in enumerate(report.ratios):
-            writer.writerow([i, _fmt(r)])
-        writer.writerow(["mean", _fmt(report.mean)])
-        writer.writerow(["std", _fmt(report.std)])
-        writer.writerow(["frac_at_least_one",
-                         _fmt(report.frac_at_least_one)])
-        writer.writerow(["skipped", report.skipped])
+    _write_csv(path, ["instance", "ratio"],
+               [*enumerate(report.ratios), ("mean", report.mean),
+                ("std", report.std),
+                ("frac_at_least_one", report.frac_at_least_one),
+                ("skipped", report.skipped)])
 
 
 def sweep_to_csv(points, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["axis", "setting", "k", "mean_ratio", "std_ratio",
-                         "count", "skipped"])
-        for pt in points:
-            writer.writerow([pt.axis, _fmt(pt.setting), pt.k,
-                             _fmt(pt.mean_ratio), _fmt(pt.std_ratio),
-                             pt.count, pt.skipped])
+    _write_csv(path, [f.name for f in fields(SweepPoint)],
+               map(astuple, points))

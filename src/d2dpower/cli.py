@@ -2,13 +2,13 @@
 
 Subcommands: generate, viva, luva, fplinq, train, evaluate, sweep, schedule.
 Every run is deterministic for a fixed seed; output files carry no
-timestamps, so identical invocations produce identical bytes.
+timestamps, so identical invocations produce identical bytes. Bad input
+(ValueError, OSError) ends in one stderr line and exit status 2.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import asdict
@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import benchmark, netgen, scheduling, training
-from .benchmark import _fmt
+from .benchmark import _write_csv
 from .netgen import SystemParams
 from .rates import weighted_sum_rate
 from .solver import load_schedule, save_schedule, viva_defaults
@@ -36,24 +36,6 @@ def load_params(path) -> SystemParams:
     return SystemParams(**overrides)
 
 
-def _weights_for(net, spec: str, seed: int) -> np.ndarray:
-    if spec == "ones":
-        return np.ones(net.k_links)
-    if spec == "uniform":
-        return np.random.default_rng((seed, 0xF00D)).uniform(
-            size=net.k_links)
-    raise ValueError("weights must be 'ones' or 'uniform'")
-
-
-def _write_alloc_csv(path, x, wsr: float) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["link", "power"])
-        for i, xi in enumerate(x):
-            writer.writerow([i, _fmt(xi)])
-        writer.writerow(["wsr", _fmt(wsr)])
-
-
 def cmd_generate(args) -> int:
     params = load_params(args.config)
     out = Path(args.out)
@@ -69,7 +51,9 @@ def cmd_generate(args) -> int:
 def _run_one_shot(args) -> int:
     solver_name = args.solver
     net, _ = netgen.load_layout(args.layout)
-    w = _weights_for(net, args.weights, args.seed)
+    w = training.sample_weights(
+        np.random.default_rng((args.seed, 0xF00D)), 1, net.k_links,
+        {"ones": "all_ones", "uniform": "uniform01"}[args.weights])[0]
     if solver_name == "fplinq":
         solve = benchmark.fplinq_point_solver(args.iters)
     else:
@@ -83,7 +67,8 @@ def _run_one_shot(args) -> int:
     print(f"{solver_name}: wsr {wsr:.6f} nats, "
           f"active links {int(np.sum(x > 0.5))}/{net.k_links}")
     if args.out:
-        _write_alloc_csv(args.out, x, wsr)
+        _write_csv(args.out, ["link", "power"],
+                   [*enumerate(x), ("wsr", wsr)])
     return 0
 
 
@@ -96,7 +81,8 @@ def cmd_train(args) -> int:
     sched, hist = training.train_layerwise(cfg, params, k_links=args.k)
     save_schedule(args.out, sched)
     if args.history:
-        training.history_to_csv(hist, args.history)
+        _write_csv(args.history, ["stage", "iteration", "val_mean_wsr"],
+                   [(r.stage, r.iteration, r.val_mean_wsr) for r in hist])
     print(f"trained {args.layers} layers; final validation mean wsr "
           f"{hist[-1].val_mean_wsr:.6f}; schedule saved to {args.out}")
     return 0
@@ -132,10 +118,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_schedule(args) -> int:
+    if args.solver == "luva" and not args.params_file:
+        raise ValueError("--solver luva requires --params-file")
     nets = [netgen.load_layout(path)[0] for path in args.layout]
     if len({net.k_links for net in nets}) > 1:
-        print("schedule --layout needs layouts of one K", file=sys.stderr)
-        return 2
+        raise ValueError("--layout needs layouts of one K")
     util = scheduling.UtilitySpec(args.utility, args.v)
     if args.solver == "fplinq":
         solver = scheduling.fplinq_solver(args.iters)
@@ -146,27 +133,30 @@ def cmd_schedule(args) -> int:
     for path, net in zip(args.layout, nets):
         res = scheduling.dpp_run(net, solver, util, t_total=args.slots,
                                  t_avg=args.avg)
-        rows.append((path, res))
-        print(f"{path}: utility {res.utility:.6f}, "
-              f"gm {scheduling.geometric_mean(res.throughput):.6f}")
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["network", "utility", "gm"]
-                        + [f"r_{i}" for i in range(nets[0].k_links)])
-        for path, res in rows:
-            writer.writerow(
-                [Path(path).name, _fmt(res.utility),
-                 _fmt(scheduling.geometric_mean(res.throughput))]
-                + [_fmt(v) for v in res.throughput])
+        gm = scheduling.geometric_mean(res.throughput)
+        rows.append([Path(path).name, res.utility, gm, *res.throughput])
+        print(f"{path}: utility {res.utility:.6f}, gm {gm:.6f}")
+    _write_csv(args.out, ["network", "utility", "gm"]
+               + [f"r_{i}" for i in range(nets[0].k_links)], rows)
     return 0
 
 
-def _add_common(sp, out_required: bool = False, out_help: str = "output file"):
+def _add_seed_config(sp) -> None:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--config", default=None,
                     help="JSON file of system parameter overrides")
-    sp.add_argument("--out", required=out_required, default=None,
-                    help=out_help)
+
+
+def _add_eval_options(sp) -> None:
+    """Options evaluate and sweep share."""
+    sp.add_argument("--params-file", required=True)
+    sp.add_argument("--k", type=int, default=10)
+    sp.add_argument("--count", type=int, default=200)
+    sp.add_argument("--iters", type=int, default=100)
+    sp.add_argument("--weight-dist", choices=training.WEIGHT_DISTS,
+                    default="uniform01")
+    sp.add_argument("--x0", type=float, default=0.01)
+    _add_seed_config(sp)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -178,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("generate", help="sample network layouts to JSON")
     sp.add_argument("--k", type=int, default=10)
     sp.add_argument("--count", type=int, default=1)
-    _add_common(sp, out_required=True, out_help="output directory")
+    sp.add_argument("--out", required=True, help="output directory")
+    _add_seed_config(sp)
     sp.set_defaults(fn=cmd_generate)
 
     for name, help_text in (("viva", "untrained constant-step solver"),
@@ -188,6 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--layout", required=True)
         sp.add_argument("--weights", choices=("ones", "uniform"),
                         default="ones")
+        sp.add_argument("--seed", type=int, default=0,
+                        help="seed of --weights uniform")
         if name == "viva":
             sp.add_argument("--iters", type=int, default=10,
                             help="number of layers")
@@ -201,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--mode", choices=("normalized", "plain"),
                             default="normalized")
             sp.add_argument("--x0", type=float, default=0.01)
-        _add_common(sp, out_help="allocation CSV")
+        sp.add_argument("--out", default=None, help="allocation CSV")
         sp.set_defaults(fn=_run_one_shot, solver=name)
 
     sp = sub.add_parser("train", help="learn a step-size schedule")
@@ -215,34 +208,23 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--validation-size", type=int, default=500)
     sp.add_argument("--x0", type=float, default=0.01)
     sp.add_argument("--history", default=None, help="history CSV path")
-    _add_common(sp, out_required=True, out_help="schedule JSON path")
+    sp.add_argument("--out", required=True, help="schedule JSON path")
+    _add_seed_config(sp)
     sp.set_defaults(fn=cmd_train)
 
     sp = sub.add_parser("evaluate",
                         help="performance ratio vs the baseline")
-    sp.add_argument("--params-file", required=True)
-    sp.add_argument("--k", type=int, default=10)
-    sp.add_argument("--count", type=int, default=200)
-    sp.add_argument("--iters", type=int, default=100)
-    sp.add_argument("--weight-dist", choices=training.WEIGHT_DISTS,
-                    default="uniform01")
-    sp.add_argument("--x0", type=float, default=0.01)
-    _add_common(sp, out_required=True, out_help="report CSV path")
+    _add_eval_options(sp)
+    sp.add_argument("--out", required=True, help="report CSV path")
     sp.set_defaults(fn=cmd_evaluate)
 
     sp = sub.add_parser("sweep", help="generalization sweep of a schedule")
-    sp.add_argument("--params-file", required=True)
+    _add_eval_options(sp)
     sp.add_argument("--axis", choices=benchmark.SWEEP_AXES, required=True)
     sp.add_argument("--grid", required=True,
                     help="comma-separated values; write --grid=-10,0,10 "
                          "so negatives survive argparse")
-    sp.add_argument("--k", type=int, default=10)
-    sp.add_argument("--count", type=int, default=200)
-    sp.add_argument("--iters", type=int, default=100)
-    sp.add_argument("--weight-dist", choices=training.WEIGHT_DISTS,
-                    default="uniform01")
-    sp.add_argument("--x0", type=float, default=0.01)
-    _add_common(sp, out_required=True, out_help="sweep CSV path")
+    sp.add_argument("--out", required=True, help="sweep CSV path")
     sp.set_defaults(fn=cmd_sweep)
 
     sp = sub.add_parser("schedule",
@@ -258,19 +240,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--avg", type=int, default=500)
     sp.add_argument("--iters", type=int, default=100)
     sp.add_argument("--x0", type=float, default=0.01)
-    _add_common(sp, out_required=True, out_help="throughput CSV path")
+    sp.add_argument("--out", required=True, help="throughput CSV path")
     sp.set_defaults(fn=cmd_schedule)
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "schedule" and args.solver == "luva" \
-            and not args.params_file:
-        print("schedule --solver luva requires --params-file",
-              file=sys.stderr)
+    try:
+        return args.fn(args)
+    except (ValueError, OSError) as exc:
+        print(f"d2dpower {args.command}: {exc}", file=sys.stderr)
         return 2
-    return args.fn(args)
 
 
 if __name__ == "__main__":

@@ -56,8 +56,11 @@ def rate_array(x, gain, noise):
 
 
 def _nonnegative(name: str, values) -> np.ndarray:
-    """values as a float array; ValueError unless all finite and >= 0."""
+    """values as a float array; ValueError unless nonempty, all finite and
+    >= 0."""
     arr = np.asarray(values, dtype=float)
+    if not arr.size:
+        raise ValueError(f"{name} must not be empty")
     if not 0.0 <= arr.min() <= arr.max() < np.inf:  # False for any NaN
         raise ValueError(f"{name} must be finite and nonnegative")
     return arr

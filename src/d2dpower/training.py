@@ -17,8 +17,7 @@ from-scratch Adam.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,21 +34,21 @@ __all__ = [
     "grad_schedule",
     "adam_step",
     "train_layerwise",
-    "history_to_csv",
     "sample_weights",
 ]
 
 WEIGHT_DISTS = ("uniform01", "all_ones")
+_STOP_TOLERANCE = 1e-4  # see TrainConfig
 
 
 @dataclass
 class TrainConfig:
     """Training protocol knobs.
 
-    Schedules start from the constant untrained default (0.003 per step
-    size). Each stage stops early once the moving average of the validation
-    loss, checked every val_every iterations, improves by less than
-    stop_tolerance (relative) over a stop_window span, or at max_iter.
+    Schedules start from the untrained default, viva_defaults(n_layers).
+    Each stage stops early once the moving average of the validation loss,
+    checked every val_every iterations, improves by less than
+    _STOP_TOLERANCE (relative) over a stop_window span, or at max_iter.
     """
 
     n_layers: int = 10
@@ -63,16 +62,12 @@ class TrainConfig:
     x0: float = 0.01
     val_every: int = 100
     stop_window: int = 500
-    stop_tolerance: float = 1e-4
-    init_constant: float = 0.003
 
     def __post_init__(self):
         if self.n_layers < 1 or self.n_train < 1 or self.max_iter < 1:
             raise ValueError("n_layers, n_train, max_iter must be >= 1")
-        if not all(np.isfinite(v) and v > 0.0
-                   for v in (self.base_rate, self.init_constant)):
-            raise ValueError("base_rate and init_constant must be finite "
-                             "and positive")
+        if not (np.isfinite(self.base_rate) and self.base_rate > 0.0):
+            raise ValueError("base_rate must be finite and positive")
         if not 0.0 <= self.x0 <= 1.0:
             raise ValueError("x0 must lie in [0, 1]")
         f = tuple(self.refinement_factors)
@@ -243,7 +238,7 @@ def _stage_should_stop(val_losses: list, cfg: TrainConfig) -> bool:
     now = ma(len(val_losses))
     before = ma(len(val_losses) - span)
     improvement = (before - now) / abs(before)
-    return improvement < cfg.stop_tolerance
+    return improvement < _STOP_TOLERANCE
 
 
 def train_layerwise(config: TrainConfig,
@@ -267,7 +262,7 @@ def train_layerwise(config: TrainConfig,
                            config.weight_dist)
 
     n = config.n_layers
-    vec = viva_defaults(n, config.init_constant).to_vector()
+    vec = viva_defaults(n).to_vector()
     history: list[HistoryRecord] = []
 
     stages = [("main", "current_layer", config.base_rate)]
@@ -312,12 +307,3 @@ def train_layerwise(config: TrainConfig,
     })
     return schedule, history
 
-
-def history_to_csv(history, path) -> None:
-    """Write checkpoints as CSV: stage, iteration, val_mean_wsr."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["stage", "iteration", "val_mean_wsr"])
-        for rec in history:
-            writer.writerow([rec.stage, rec.iteration,
-                             repr(float(rec.val_mean_wsr))])

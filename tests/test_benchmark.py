@@ -37,8 +37,10 @@ def test_performance_ratio_hand_case():
                    lambda nets, ws: np.array([[0.0], [1.0]]))
     assert rep.skipped == 1
     assert rep.ratios.tolist() == pytest.approx([ratio], rel=1e-14)
-    with pytest.raises(ValueError):  # every instance skipped
+    with pytest.raises(ValueError, match="every instance was skipped"):
         evaluate(pair, constant(0.25), constant(0.0))
+    with pytest.raises(ValueError, match="test set is empty"):
+        evaluate([], constant(0.25), constant(1.0))
 
 
 def test_make_test_set_deterministic():
@@ -224,3 +226,5 @@ def test_sweep_csv_format(tmp_path):
                        "count", "skipped"]
     assert rows[1][0] == "k_fixed_area"
     assert float(rows[1][3]) == pts[0].mean_ratio
+    # ints stay ints: k, count, skipped
+    assert [rows[1][i] for i in (2, 5, 6)] == ["3", "2", "0"]

@@ -2,12 +2,18 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from d2dpower import cli, netgen
+from d2dpower import cli, netgen, training
 from d2dpower.solver import load_schedule
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*argv) -> int:
@@ -63,11 +69,15 @@ def test_load_params_rejects_unknown_keys(tmp_path):
         cli.load_params(cfg)
 
 
-def test_load_params_rejects_nonfinite_values(tmp_path):
+def _infinite_config(tmp_path):
     cfg = tmp_path / "inf.json"
     cfg.write_text('{"carrier_hz": Infinity}')
+    return cfg
+
+
+def test_load_params_rejects_nonfinite_values(tmp_path):
     with pytest.raises(ValueError, match="carrier_hz"):
-        cli.load_params(cfg)
+        cli.load_params(_infinite_config(tmp_path))
 
 
 def _read_alloc(path):
@@ -97,18 +107,33 @@ def test_one_shot_solvers(layout_dir, tiny_schedule, tmp_path):
 
 def test_train_outputs(tmp_path):
     sched_path = tmp_path / "s.json"
-    hist_path = tmp_path / "h.csv"
     rc = run_cli("train", "--k", 3, "--layers", 1, "--n-train", 2,
                  "--max-iter", 6, "--validation-size", 4, "--seed", 2,
-                 "--history", hist_path, "--out", sched_path)
+                 "--out", sched_path)
     assert rc == 0
     sched = load_schedule(sched_path)
     assert sched.n_layers == 1
     assert sched.metadata["seed"] == 2
-    with open(hist_path, newline="") as fh:
+
+
+def test_history_csv_roundtrip(tmp_path):
+    path = tmp_path / "history.csv"
+    rc = run_cli("train", "--k", 2, "--layers", 1, "--n-train", 2,
+                 "--max-iter", 4, "--validation-size", 3, "--seed", 1,
+                 "--history", path, "--out", tmp_path / "s.json")
+    assert rc == 0
+    cfg = training.TrainConfig(n_layers=1, n_train=2, max_iter=4,
+                               validation_size=3, seed=1)
+    _, hist = training.train_layerwise(cfg, netgen.SystemParams(),
+                                       k_links=2)
+    with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["stage", "iteration", "val_mean_wsr"]
-    assert len(rows) > 1
+    assert len(rows) == len(hist) + 1
+    for row, rec in zip(rows[1:], hist):
+        assert row[0] == rec.stage
+        assert int(row[1]) == rec.iteration
+        assert float(row[2]) == rec.val_mean_wsr  # repr round-trips
 
 
 def test_evaluate_and_rerun_byte_identical(tiny_schedule, tmp_path):
@@ -176,3 +201,63 @@ def test_schedule_rejects_layouts_of_mixed_k(tmp_path, capsys):
 def test_unknown_subcommand_exits():
     with pytest.raises(SystemExit):
         run_cli("frobnicate")
+
+
+# Bad input of each kind, as argv with {tmp}, {layout}, {k3} and {sched}
+# standing for paths, and a word the one stderr line must contain.
+BAD_INPUTS = {
+    "infinite-config": (
+        ["generate", "--config", "{tmp}/inf.json", "--out", "{tmp}/nets"],
+        "carrier_hz"),
+    "missing-params-file": (
+        ["evaluate", "--params-file", "{tmp}/nope.json",
+         "--out", "{tmp}/r.csv"], "nope.json"),
+    "mixed-k": (
+        ["schedule", "--layout", "{layout}", "{k3}", "--solver", "fplinq",
+         "--utility", "proportional", "--out", "{tmp}/d.csv"], "one K"),
+    "luva-without-params-file": (
+        ["schedule", "--layout", "{layout}", "--solver", "luva",
+         "--utility", "proportional", "--out", "{tmp}/d.csv"],
+        "params-file"),
+    "empty-test-set": (
+        ["evaluate", "--params-file", "{sched}", "--count", "0",
+         "--out", "{tmp}/r.csv"], "test set is empty"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_exits_2_with_one_line(case, layout_dir, tiny_schedule,
+                                         tmp_path, capsys):
+    _infinite_config(tmp_path)
+    assert run_cli("generate", "--k", 3, "--seed", 9, "--out", tmp_path) == 0
+    paths = {"tmp": tmp_path, "layout": layout_dir / "layout_000003.json",
+             "k3": tmp_path / "layout_000009.json", "sched": tiny_schedule}
+    argv, word = BAD_INPUTS[case]
+    capsys.readouterr()
+    assert run_cli(*(a.format(**paths) for a in argv)) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith(f"d2dpower {argv[0]}: ")
+    assert out.err.count("\n") == 1 and out.err.endswith("\n")
+    assert word in out.err and "Traceback" not in out.err
+
+
+def test_options_a_subcommand_does_not_read_are_rejected():
+    for argv in (["viva", "--layout", "x.json", "--config", "x.json"],
+                 ["schedule", "--layout", "x.json", "--solver", "fplinq",
+                  "--utility", "proportional", "--out", "x.csv",
+                  "--seed", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+
+
+def test_entry_point_exits_2_on_bad_input(tmp_path):
+    path = filter(None, (str(SRC), os.environ.get("PYTHONPATH")))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "d2dpower.cli", "generate", "--config",
+         str(_infinite_config(tmp_path)), "--out", str(tmp_path / "nets")],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr

@@ -121,6 +121,13 @@ def test_geometric_mean():
             geometric_mean([bad, 1.0])
 
 
+def test_empty_inputs_name_the_argument():
+    with pytest.raises(ValueError, match="values must not be empty"):
+        geometric_mean([])
+    with pytest.raises(ValueError, match="queues must not be empty"):
+        queue_update([], [], [])
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(min_value=1e-6, max_value=1e6), min_size=1,
                 max_size=8))
