@@ -17,7 +17,7 @@ import numpy as np
 
 from . import netgen
 from .netgen import SystemParams
-from .rates import rate_array, solver_inputs
+from .rates import _sinr, solver_inputs
 from .rates import weighted_sum_rate  # perfbench/tracing.py rebinds it
 from .solver import StepSchedule, run
 from .fplinq import fplinq
@@ -39,11 +39,11 @@ __all__ = [
 SWEEP_AXES = ("k_fixed_area", "k_fixed_density", "snr_offset",
               "d_min", "d_max")
 
-# Cap on one block's gain stacks (gains and their interference-only copy,
-# 16 K^2 bytes per network), which every solver iteration reads: a core's
-# L2 cache, 2 MiB. Larger stacks stream from memory on every iteration, so
-# a whole (40, 200, 200) test set ran FPLinQ slower batched than one network
-# at a time. K = 10 fits 8192 networks per block, K = 200 three.
+# Cap on one block's S = [gain; offdiag(gain)] (16 K^2 bytes per network),
+# which every solver iteration reads: a core's L2 cache, 2 MiB. Larger
+# stacks stream from memory on every iteration, so a whole (40, 200, 200)
+# test set ran FPLinQ slower batched than one network at a time. K = 10
+# fits 8192 networks per block, K = 200 three.
 BLOCK_BYTES = 2 ** 21
 
 
@@ -127,14 +127,14 @@ def evaluate(test_set, solver_a, solver_b=None) -> EvalReport:
     skipped = 0
     for block in _blocks(test_set):
         nets = [net for net, _ in block]
-        gain, noise, ws = solver_inputs(nets, [w for _, w in block])
+        s, noise, ws = solver_inputs(nets, [w for _, w in block])
         wsr = []
         for solver in (solver_a, solver_b):
             x = np.asarray(solver(nets, ws), dtype=float)
             if x.shape != ws.shape:
                 raise ValueError(f"solver returned shape {x.shape} for "
                                  f"weights of shape {ws.shape}")
-            wsr.append(np.sum(ws * rate_array(x, gain, noise), axis=-1))
+            wsr.append(np.sum(ws * np.log1p(_sinr(x, s, noise)), axis=-1))
         ok = wsr[1] != 0.0
         skipped += int(np.count_nonzero(~ok))
         ratios.extend(wsr[0][ok] / wsr[1][ok])

@@ -9,7 +9,6 @@ timestamps, so identical invocations produce identical bytes. Bad input
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -27,10 +26,8 @@ def load_params(path) -> SystemParams:
     """SystemParams from a JSON file of (possibly partial) overrides."""
     if path is None:
         return SystemParams()
-    with open(path) as fh:
-        overrides = json.load(fh)
-    fields = set(asdict(SystemParams()))
-    unknown = set(overrides) - fields
+    overrides = netgen._json_object(path)
+    unknown = set(overrides) - set(asdict(SystemParams()))
     if unknown:
         raise ValueError(f"unknown parameter names: {sorted(unknown)}")
     return SystemParams(**overrides)

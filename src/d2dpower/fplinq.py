@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .netgen import NetworkInstance
-from .rates import offdiag, solver_inputs
+from .rates import solver_inputs
 
 __all__ = ["fplinq", "fp_iterate"]
 
@@ -51,5 +51,7 @@ def fplinq(net: NetworkInstance, w, iters: int = 100) -> np.ndarray:
     """
     if iters < 0:
         raise ValueError("iters must be nonnegative")
-    gain, noise, w = solver_inputs(net, w)
-    return fp_iterate(np.ones(w.shape), w, gain, offdiag(gain), noise, iters)
+    s, noise, w = solver_inputs(net, w)
+    k = w.shape[-1]
+    return fp_iterate(np.ones(w.shape), w, s[..., :k, :], s[..., k:, :],
+                      noise, iters)

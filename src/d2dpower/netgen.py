@@ -48,8 +48,9 @@ class SystemParams:
 
     def __post_init__(self):
         for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite")
+            value = getattr(self, f.name)
+            if not (isinstance(value, (int, float)) and math.isfinite(value)):
+                raise ValueError(f"{f.name} must be a finite number")
         if not (0.0 < self.d_min_m < self.d_max_m):
             raise ValueError("need 0 < d_min_m < d_max_m")
         if self.area_side_m <= 0.0:
@@ -88,6 +89,7 @@ class NetworkInstance:
             raise ValueError("gains must be finite and strictly positive")
         if not (math.isfinite(self.noise_power) and self.noise_power > 0.0):
             raise ValueError("noise_power must be finite and positive")
+        self.gain.flags.writeable = False  # rates._prepared keeps S
 
 
 def _breakpoint(params: SystemParams) -> tuple[float, float]:
@@ -197,9 +199,21 @@ def save_layout(path, net: NetworkInstance, params: SystemParams) -> None:
         fh.write("\n")
 
 
-def load_layout(path) -> tuple[NetworkInstance, SystemParams]:
+def _json_object(path, *keys) -> dict:
+    """The JSON object in path, holding every key in keys; else ValueError."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path} does not hold a JSON object")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise ValueError(f"{path} lacks {', '.join(missing)}")
+    return doc
+
+
+def load_layout(path) -> tuple[NetworkInstance, SystemParams]:
+    doc = _json_object(path, "k", "params", "tx_pos", "rx_pos", "gain",
+                       "noise_power")
     k = int(doc["k"])
     params = SystemParams(**doc["params"])
     net = NetworkInstance(

@@ -23,32 +23,42 @@ __all__ = [
 ]
 
 
-def _zero_diagonal(out: np.ndarray, k: int) -> np.ndarray:
-    # out is C-contiguous (..., m, k); zero entries (m - k + i, i) in place
-    flat = out.reshape(*out.shape[:-2], -1)
-    flat[..., flat.shape[-1] - k * k::k + 1] = 0.0
-    return out
-
-
-def offdiag(gain: np.ndarray) -> np.ndarray:
-    """Copy of the gain matrix with zeroed direct links (interference only)."""
-    gain = np.asarray(gain, dtype=float)
-    return _zero_diagonal(gain.copy(), gain.shape[-1])
-
-
 def stacked_gain(gain: np.ndarray) -> np.ndarray:
     """S = [gain; offdiag(gain)], shape (..., 2K, K), in one allocation:
     noise + S x stacks total and interference-plus-noise power."""
     gain = np.asarray(gain, dtype=float)
-    return _zero_diagonal(np.concatenate((gain, gain), axis=-2),
-                          gain.shape[-1])
+    k = gain.shape[-1]
+    s = np.concatenate((gain, gain), axis=-2)
+    # s is C-contiguous: zero entries (K + i, i) in place
+    s.reshape(*s.shape[:-2], -1)[..., k * k::k + 1] = 0.0
+    return s
+
+
+def offdiag(gain: np.ndarray) -> np.ndarray:
+    """Interference-only gains: the lower half of a fresh stacked_gain."""
+    return stacked_gain(gain)[..., np.shape(gain)[-1]:, :]
+
+
+def _frame(s, noise):
+    """(u, u / |u|), u_i = ln(1 + gain_ii / noise) the single-user rates,
+    from gains or S (..., 2K, K): the scalarization frame a = -u, r."""
+    # .sum and sqrt of a sum give np.sum's and np.linalg.norm's bits at a
+    # fraction of their call overhead
+    u = np.log1p(np.diagonal(s, axis1=-2, axis2=-1) / noise)
+    return u, u / np.sqrt((u * u).sum(-1, keepdims=True))
+
+
+def _sinr(x, s, noise):
+    """SINR_i from S = stacked_gain(gain) (..., 2K, K): its interference
+    rows S[..., K:, :] serve in place of an offdiag copy."""
+    k = s.shape[-1]
+    x = np.asarray(x, dtype=float)
+    interf = noise + np.matmul(s[..., k:, :], x[..., None])[..., 0]
+    return np.diagonal(s, axis1=-2, axis2=-1) * x / interf
 
 
 def sinr_array(x, gain, noise):
-    gain = np.asarray(gain, dtype=float)
-    x = np.asarray(x, dtype=float)
-    interf = noise + np.matmul(offdiag(gain), x[..., None])[..., 0]
-    return np.diagonal(gain, axis1=-2, axis2=-1) * x / interf
+    return _sinr(x, stacked_gain(gain), noise)
 
 
 def rate_array(x, gain, noise):
@@ -68,14 +78,29 @@ def _nonnegative(name: str, values) -> np.ndarray:
 
 # NetworkInstance wrappers.
 
+def _prepared(net: NetworkInstance):
+    """(S, u, u / |u|) of one network, checked and built on its first solve
+    and kept on it (its gain is read-only); a failed check keeps nothing."""
+    prep = net.__dict__.get("_prepared")
+    if prep is None:
+        u, r = _frame(net.gain, net.noise_power)
+        if not (u > 0.0).all():
+            raise ValueError("degenerate network: zero single-user rate")
+        prep = stacked_gain(net.gain), u, r
+        for arr in prep:
+            arr.flags.writeable = False
+        net.__dict__["_prepared"] = prep
+    return prep
+
+
 def solver_inputs(net, w):
-    """(gain, noise, w) of one network with weights (K,), or of a block: a
-    sequence of networks that share K and noise, gains stacked (B, K, K),
-    with weights (B, K). Per network the weights must be finite and
+    """(S, noise, w), S = stacked_gain(gain), of one network with weights
+    (K,) (its kept S), or of a block: networks that share K and noise, S
+    (B, 2K, K), weights (B, K). Per network the weights must be finite and
     nonnegative with one positive, and every single-user rate positive;
     raises ValueError otherwise. Both solvers check their inputs here."""
     if isinstance(net, NetworkInstance):
-        gain, noise = net.gain, net.noise_power
+        s, noise = _prepared(net)[0], net.noise_power
     else:
         nets = list(net)
         if not nets:
@@ -84,21 +109,21 @@ def solver_inputs(net, w):
         if any(n.k_links != nets[0].k_links or n.noise_power != noise
                for n in nets):
             raise ValueError("a block's networks must share K and noise")
-        gain = np.stack([n.gain for n in nets])
-    w = np.asarray(w, dtype=float)
-    if w.shape != gain.shape[:-1]:
-        raise ValueError(f"weights must have shape {gain.shape[:-1]}")
+        s = stacked_gain(np.stack([n.gain for n in nets]))
+        if not (s.diagonal(axis1=-2, axis2=-1) / noise > 0.0).all():
+            raise ValueError("degenerate network: zero single-user rate")
+    w, shape = np.asarray(w, dtype=float), s.shape[:-2] + s.shape[-1:]
+    if w.shape != shape:
+        raise ValueError(f"weights must have shape {shape}")
     # ndarray methods, not np.all/np.any: this runs on every solver call
     if not (_nonnegative("weights", w).max(-1) > 0.0).all():
         raise ValueError("weights need one positive entry per network")
-    if not (gain.diagonal(axis1=-2, axis2=-1) / noise > 0.0).all():
-        raise ValueError("degenerate network: zero single-user rate")
-    return gain, noise, w
+    return s, noise, w
 
 
 def rate_vector(x, net: NetworkInstance) -> np.ndarray:
     """Per-link rates ln(1 + SINR_i) in nats."""
-    return rate_array(x, net.gain, net.noise_power)
+    return np.log1p(_sinr(x, _prepared(net)[0], net.noise_power))
 
 
 def rate_vector_logdiff(x, net: NetworkInstance) -> np.ndarray:
@@ -114,7 +139,7 @@ def rate_and_jacobian(x, net: NetworkInstance):
     interference row over interf_i, so diagonals are nonnegative and
     off-diagonals nonpositive."""
     k = net.k_links
-    s = stacked_gain(net.gain)
+    s = _prepared(net)[0]
     p = net.noise_power + s @ np.asarray(x, dtype=float)
     ratio = (s / p[:, None]).reshape(2, k, k)
     return np.log(p[:k]) - np.log(p[k:]), ratio[0] - ratio[1]
@@ -132,6 +157,5 @@ def rate_jacobian(x, net: NetworkInstance) -> np.ndarray:
 def utopian_point(net: NetworkInstance) -> np.ndarray:
     """Single-user rates u_i = ln(1 + gain_ii / noise): each link alone at
     full power. No feasible allocation exceeds u in any coordinate."""
-    direct = np.diagonal(net.gain)
-    return np.log1p(direct / net.noise_power)
+    return _prepared(net)[1].copy()
 

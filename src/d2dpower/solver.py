@@ -15,13 +15,13 @@ solver a deterministic unrolled network; schedules can be the untrained
 constant default or learned offline.
 
 Every kernel holds a network's gains once, as S = [gain; offdiag(gain)]
-(..., 2K, K), built in one allocation in place of the interference-only
-copy (rates.stacked_gain). With w_pm = [w; -w], P = noise + S x gives total
-and interference power in one matvec, g = (w_pm / P) S in one vecmat, and
-the WSR is w_pm . ln P. run() solves a block of networks (same K and
-noise) in one call of the batched forward that training differentiates
-through, and one network in a loop on Python-float scalars, which at B = 1
-costs less than the batched forward's (1, 2K, K) matmuls and masks.
+(..., 2K, K) (rates.stacked_gain). With w_pm = [w; -w], P = noise + S x
+gives total and interference power in one matvec, g = (w_pm / P) S in one
+vecmat, and the WSR is w_pm . ln P. run() solves a block of networks (same
+K and noise) in one batched forward, the one training differentiates, and
+one network in a loop on Python floats, cheaper at B = 1. The loop reads S
+and the frame (u, u/|u|) that the network's first solve checked and kept;
+its gain is read-only after construction, and later solves check only w.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .netgen import NetworkInstance
-from .rates import solver_inputs, stacked_gain
+from .netgen import NetworkInstance, _json_object
+from .rates import _frame, _prepared, solver_inputs
 
 __all__ = [
     "StepSchedule",
@@ -122,22 +122,12 @@ def _matvec(mat, v):
     return np.matmul(mat, v[:, :, None])[:, :, 0]
 
 
-def _frame_dots(s, noise, w):
-    """(a.w, r.w) of the scalarization frame a = -u, r = u/|u|, from the
-    stacked gains s (..., 2K, K) and weights w (..., K)."""
-    # .sum and sqrt of a sum give np.sum's and np.linalg.norm's bits at a
-    # fraction of their call overhead
-    k = w.shape[-1]
-    u = np.log1p(s[..., :k, :].diagonal(axis1=-2, axis2=-1) / noise)
-    norm_u = np.sqrt((u * u).sum(-1, keepdims=True))
-    return -(w * u).sum(-1), (w * (u / norm_u)).sum(-1)
-
-
 def _unrolled_forward(s, noise, w, a1, a2, a3, kcut, x0, want_tape: bool,
                       normalized: bool = True, check_finite: bool = False):
     b, k = w.shape
     w_pm = np.concatenate((w, -w), axis=-1)
-    a_dot_w, c = _frame_dots(s, noise, w)
+    u, r = _frame(s, noise)
+    a_dot_w, c = -(w * u).sum(-1), (w * r).sum(-1)
     x = np.full((b, k), float(x0))
     lam = np.ones(b)
     t = np.zeros(b)
@@ -188,32 +178,33 @@ def run(net: NetworkInstance, w, schedule: StepSchedule,
     normalized = mode == "normalized"
     if not isinstance(net, NetworkInstance) and keep_trace:
         raise ValueError("a block keeps no trace; pass keep_trace=False")
-    gain, noise, w = solver_inputs(net, w)
-    s = stacked_gain(gain)
-    if gain.ndim == 3:
+    s, noise, w = solver_inputs(net, w)
+    if s.ndim == 3:
         return _unrolled_forward(
             s, noise, w, schedule.alpha1, schedule.alpha2, schedule.alpha3,
             schedule.n_layers, x0, want_tape=False, normalized=normalized,
             check_finite=True)[0], None
 
-    a_dot_w, r_dot_w = map(float, _frame_dots(s, noise, w))
+    # the kept frame; on 1-D operands .dot gives @'s bits, cheaper
+    _, u, r = _prepared(net)
+    a_dot_w, r_dot_w = -float((w * u).sum()), float((w * r).sum())
     w_pm = np.concatenate((w, -w))
     t, x, lam = 0.0, np.full(w.shape, x0), 1.0
-    p = noise + s @ x
-    history = [(t, x, lam, float(w_pm @ np.log(p)))]
+    p = noise + s.dot(x)
+    history = [(t, x, lam, float(w_pm.dot(np.log(p))))]
     for k, (a1, a2, a3) in enumerate(zip(schedule.alpha1.tolist(),
                                          schedule.alpha2.tolist(),
                                          schedule.alpha3.tolist())):
         t = t - a1 * (1.0 - lam * r_dot_w)
-        g = (w_pm / p) @ s
+        g = (w_pm / p).dot(s)
         if not normalized:
             x = (x + a2 * lam * g).clip(0.0, 1.0)
         else:
-            norm_g = math.sqrt(g @ g)
+            norm_g = math.sqrt(g.dot(g))
             if norm_g > 0.0:  # else zero gradient: skip the x update
                 x = (x + (a2 / norm_g) * lam * g).clip(0.0, 1.0)
-        p = noise + s @ x
-        wsr = float(w_pm @ np.log(p))
+        p = noise + s.dot(x)
+        wsr = float(w_pm.dot(np.log(p)))
         lam = lam - a3 * (a_dot_w + t * r_dot_w + wsr)
         if normalized:
             lam = max(0.0, lam)
@@ -241,8 +232,7 @@ def save_schedule(path, schedule: StepSchedule) -> None:
 
 
 def load_schedule(path) -> StepSchedule:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _json_object(path, "n_layers", "alpha1", "alpha2", "alpha3")
     sched = StepSchedule(doc["alpha1"], doc["alpha2"], doc["alpha3"],
                          metadata=doc.get("metadata", {}))
     if sched.n_layers != int(doc["n_layers"]):

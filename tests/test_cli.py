@@ -222,13 +222,40 @@ BAD_INPUTS = {
     "empty-test-set": (
         ["evaluate", "--params-file", "{sched}", "--count", "0",
          "--out", "{tmp}/r.csv"], "test set is empty"),
+    "layout-as-schedule": (
+        ["evaluate", "--params-file", "{layout}", "--out", "{tmp}/r.csv"],
+        "alpha1"),
+    "schedule-not-an-object": (
+        ["evaluate", "--params-file", "{tmp}/list1.json",
+         "--out", "{tmp}/r.csv"], "JSON object"),
+    "layout-without-noise": (
+        ["schedule", "--layout", "{tmp}/no_noise.json", "--solver", "fplinq",
+         "--utility", "proportional", "--out", "{tmp}/d.csv"],
+        "noise_power"),
+    "config-field-not-a-number": (
+        ["generate", "--config", "{tmp}/abc.json", "--out", "{tmp}/nets"],
+        "bandwidth_hz"),
+    "config-not-an-object": (
+        ["generate", "--config", "{tmp}/list2.json", "--out", "{tmp}/nets"],
+        "JSON object"),
 }
+
+
+def _malformed_files(tmp_path, layout) -> None:
+    """The malformed inputs BAD_INPUTS names, written under tmp_path."""
+    _infinite_config(tmp_path)
+    (tmp_path / "list1.json").write_text("[1]")
+    (tmp_path / "list2.json").write_text("[1, 2]")
+    (tmp_path / "abc.json").write_text('{"bandwidth_hz": "abc"}')
+    doc = json.loads(layout.read_text())
+    del doc["noise_power"]
+    (tmp_path / "no_noise.json").write_text(json.dumps(doc))
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)
 def test_bad_input_exits_2_with_one_line(case, layout_dir, tiny_schedule,
                                          tmp_path, capsys):
-    _infinite_config(tmp_path)
+    _malformed_files(tmp_path, layout_dir / "layout_000003.json")
     assert run_cli("generate", "--k", 3, "--seed", 9, "--out", tmp_path) == 0
     paths = {"tmp": tmp_path, "layout": layout_dir / "layout_000003.json",
              "k3": tmp_path / "layout_000009.json", "sched": tiny_schedule}

@@ -1,11 +1,14 @@
 """Rates, Jacobian, utopian point, scalarization frame."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import toy_net
 from d2dpower import netgen, rates
-from d2dpower.solver import _frame_dots
+from d2dpower.fplinq import fp_iterate, fplinq
+from d2dpower.solver import run, viva_defaults
 
 # 2-link hand case: SINR_1 = 2/(1 + 0.25) = 1.6, SINR_2 = 2/(1 + 0.25) = 1.6
 HAND_GAIN = np.array([[2.0, 0.5], [0.25, 4.0]])
@@ -165,18 +168,24 @@ def test_utopian_attained_by_lone_full_power():
 
 
 def test_scalarization_frame_geometry():
-    # solver._frame_dots gives (a.w, r.w) for a = -u and r = u/|u|
+    # rates._frame gives u and r = u/|u|; the solver dots them with w into
+    # a.w and r.w for a = -u
     nets = [toy_net(HAND_GAIN), toy_net(2.0 * HAND_GAIN)]
     ws = np.array([[0.5, 0.5], [0.25, 1.0]])
     u = np.array([rates.utopian_point(net) for net in nets])
     expect_a = -(ws * u).sum(-1)
     expect_r = (ws * u).sum(-1) / np.linalg.norm(u, axis=-1)
+
+    def dots(s, w):
+        fu, fr = rates._frame(s, 1.0)
+        return -(w * fu).sum(-1), (w * fr).sum(-1)
+
     for net, w, a, r in zip(nets, ws, expect_a, expect_r):
-        dots = _frame_dots(rates.stacked_gain(net.gain), 1.0, w)
-        assert dots == pytest.approx((a, r), rel=1e-15)
+        got = dots(rates.stacked_gain(net.gain), w)
+        assert got == pytest.approx((a, r), rel=1e-15)
     gain = np.stack([net.gain for net in nets])
-    dots = _frame_dots(rates.stacked_gain(gain), 1.0, ws)
-    assert np.allclose(dots, (expect_a, expect_r), rtol=1e-15, atol=0.0)
+    got = dots(rates.stacked_gain(gain), ws)
+    assert np.allclose(got, (expect_a, expect_r), rtol=1e-15, atol=0.0)
 
 
 def test_batched_helpers_match_loop():
@@ -188,3 +197,82 @@ def test_batched_helpers_match_loop():
     for b, net in enumerate(nets):
         assert np.allclose(batched[b], rates.rate_vector(x[b], net),
                            rtol=1e-14)
+
+
+# One network's prepared form (rates._prepared): S, u and u/|u| are built
+# on its first solve and kept on it.
+
+def _solve_both(net, w):
+    sched = viva_defaults(6)
+    return run(net, w, sched)[0], fplinq(net, w, 30)
+
+
+def test_network_gain_and_kept_s_are_read_only():
+    net = netgen.sample_layout(netgen.SystemParams(), 4, seed=2)
+    with pytest.raises(ValueError):
+        net.gain[0, 0] = 1.0
+    s = rates.solver_inputs(net, np.ones(4))[0]
+    with pytest.raises(ValueError):
+        s[4, 1] = 1.0
+
+
+def test_prepared_network_solves_the_same_twice():
+    net = netgen.sample_layout(netgen.SystemParams(), 6, seed=3)
+    w = np.random.default_rng(3).uniform(size=6)
+    first, again = _solve_both(net, w), _solve_both(net, w)
+    for a, b in zip(first, again):
+        assert np.array_equal(a, b)
+
+
+def test_replaced_gain_gets_a_fresh_prepared_form():
+    net = netgen.sample_layout(netgen.SystemParams(), 5, seed=4)
+    w = np.random.default_rng(4).uniform(size=5)
+    _solve_both(net, w)
+    g2 = net.gain.T.copy()
+    moved = replace(net, gain=g2)
+    fresh = toy_net(g2, noise=net.noise_power)
+    for a, b, old in zip(_solve_both(moved, w), _solve_both(fresh, w),
+                         _solve_both(net, w)):
+        assert np.array_equal(a, b) and not np.array_equal(a, old)
+    assert np.array_equal(rates.rate_vector(w, moved),
+                          rates.rate_vector(w, fresh))
+
+
+def test_degenerate_network_raises_on_every_call():
+    # 5e-324 / 4 rounds to 0: link 0's single-user rate underflows
+    net = toy_net([[5e-324, 1.0], [1.0, 1.0]], noise=4.0)
+    w = np.ones(2)
+    for _ in range(2):
+        for solve in (lambda: run(net, w, viva_defaults(3)),
+                      lambda: fplinq(net, w, 5),
+                      lambda: rates.utopian_point(net)):
+            with pytest.raises(ValueError, match="degenerate"):
+                solve()
+
+
+def test_utopian_point_is_a_writable_copy():
+    net = netgen.sample_layout(netgen.SystemParams(), 5, seed=5)
+    w = np.random.default_rng(5).uniform(size=5)
+    before = _solve_both(net, w)
+    u = rates.utopian_point(net)
+    u[:] = -1.0
+    assert np.all(rates.utopian_point(net) > 0.0)
+    for a, b in zip(before, _solve_both(net, w)):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("k", [1, 3, 10])
+def test_prepared_path_equals_uncached_formulas(k):
+    p = netgen.SystemParams()
+    for seed in range(4):
+        net = netgen.sample_layout(p, k, seed=100 * k + seed)
+        rng = np.random.default_rng(seed)
+        x, w = rng.uniform(size=k), rng.uniform(size=k)
+        gain, noise = net.gain, net.noise_power
+        assert np.array_equal(rates.rate_vector(x, net),
+                              rates.rate_array(x, gain, noise))
+        assert np.array_equal(
+            fplinq(net, w, 50),
+            fp_iterate(np.ones(k), w, gain, rates.offdiag(gain), noise, 50))
+        assert np.array_equal(rates.utopian_point(net),
+                              np.log1p(np.diag(gain) / noise))
