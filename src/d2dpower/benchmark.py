@@ -4,7 +4,7 @@ The figure of merit is the ratio of a solver's weighted sum-rate to the
 baseline's on the same instance and weights; a ratio above 1 beats the
 baseline. Sweeps re-evaluate one trained schedule across network scales
 without retraining. Solvers follow one protocol, solver(net_or_block, w)
--> x, shared with the scheduler; evaluate hands them blocks of networks.
+-> x, shared with the scheduler; evaluate hands them checked rates._Blocks.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import netgen
 from .netgen import SystemParams
-from .rates import _sinr, solver_inputs
+from .rates import _Block, _sinr, _solver_inputs
 from .rates import weighted_sum_rate  # perfbench/tracing.py rebinds it
 from .solver import StepSchedule, run
 from .fplinq import fplinq
@@ -106,14 +106,14 @@ def cdf_points(values):
 
 
 def _blocks(test_set):
-    """Runs of consecutive (net, w) entries that share K and noise, cut
-    into blocks of at most BLOCK_BYTES of gain stacks."""
+    """(_Block, weights) per run of consecutive (net, w) entries that share
+    K and noise, cut into blocks of at most BLOCK_BYTES of S."""
     for (k, _), group in groupby(test_set, key=lambda entry: (
             entry[0].k_links, entry[0].noise_power)):
-        entries = list(group)
+        nets, ws = zip(*group)
         cap = max(1, BLOCK_BYTES // (16 * k * k))
-        for i in range(0, len(entries), cap):
-            yield entries[i:i + cap]
+        for i in range(0, len(nets), cap):
+            yield _Block(nets[i:i + cap]), ws[i:i + cap]
 
 
 def evaluate(test_set, solver_a, solver_b=None) -> EvalReport:
@@ -125,12 +125,11 @@ def evaluate(test_set, solver_a, solver_b=None) -> EvalReport:
         solver_b = fplinq_point_solver(100)
     ratios = []
     skipped = 0
-    for block in _blocks(test_set):
-        nets = [net for net, _ in block]
-        s, noise, ws = solver_inputs(nets, [w for _, w in block])
+    for block, ws in _blocks(test_set):
+        (s, _, _), noise, ws = _solver_inputs(block, ws)
         wsr = []
         for solver in (solver_a, solver_b):
-            x = np.asarray(solver(nets, ws), dtype=float)
+            x = np.asarray(solver(block, ws), dtype=float)
             if x.shape != ws.shape:
                 raise ValueError(f"solver returned shape {x.shape} for "
                                  f"weights of shape {ws.shape}")

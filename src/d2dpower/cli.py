@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -24,13 +23,8 @@ from .solver import load_schedule, save_schedule, viva_defaults
 
 def load_params(path) -> SystemParams:
     """SystemParams from a JSON file of (possibly partial) overrides."""
-    if path is None:
-        return SystemParams()
-    overrides = netgen._json_object(path)
-    unknown = set(overrides) - set(asdict(SystemParams()))
-    if unknown:
-        raise ValueError(f"unknown parameter names: {sorted(unknown)}")
-    return SystemParams(**overrides)
+    doc = {} if path is None else netgen._json_object(path)
+    return netgen._params(doc, path)
 
 
 def cmd_generate(args) -> int:

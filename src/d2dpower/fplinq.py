@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .netgen import NetworkInstance
-from .rates import solver_inputs
+from .rates import _solver_inputs
 
 __all__ = ["fplinq", "fp_iterate"]
 
@@ -47,11 +47,11 @@ def fplinq(net: NetworkInstance, w, iters: int = 100) -> np.ndarray:
 
     net is one NetworkInstance with weights (K,), or a block: a sequence of
     networks that share K and noise, with weights (B, K). x has the
-    weights' shape; the inputs pass rates.solver_inputs.
+    weights' shape; the inputs pass rates._solver_inputs.
     """
     if iters < 0:
         raise ValueError("iters must be nonnegative")
-    s, noise, w = solver_inputs(net, w)
+    (s, _, _), noise, w = _solver_inputs(net, w)
     k = w.shape[-1]
     return fp_iterate(np.ones(w.shape), w, s[..., :k, :], s[..., k:, :],
                       noise, iters)

@@ -211,11 +211,21 @@ def _json_object(path, *keys) -> dict:
     return doc
 
 
+def _params(doc, path) -> SystemParams:
+    """SystemParams from doc, read from path: a JSON object of (possibly
+    partial) overrides with known names only; else ValueError."""
+    names = {f.name for f in fields(SystemParams)}
+    if not (isinstance(doc, dict) and names.issuperset(doc)):
+        raise ValueError(f"{path}: params {doc}: not an object of known names")
+    return SystemParams(**doc)
+
+
 def load_layout(path) -> tuple[NetworkInstance, SystemParams]:
     doc = _json_object(path, "k", "params", "tx_pos", "rx_pos", "gain",
                        "noise_power")
-    k = int(doc["k"])
-    params = SystemParams(**doc["params"])
+    k, params = doc["k"], _params(doc["params"], path)
+    if type(k) is not int:
+        raise ValueError(f"{path}: k must be an integer")
     net = NetworkInstance(
         k_links=k,
         tx_pos=np.asarray(doc["tx_pos"], dtype=float),

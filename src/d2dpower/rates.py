@@ -2,8 +2,8 @@
 
 Rates are natural-log spectral efficiencies, R_i = ln(1 + SINR_i), so every
 step-size and utility constant downstream is in nats. Array helpers broadcast
-over leading batch dimensions; the NetworkInstance wrappers are the
-single-network API.
+over leading batch dimensions and check nothing; the NetworkInstance wrappers
+are the single-network API. Every solve reads one checked form (_form).
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import numpy as np
 from .netgen import NetworkInstance
 
 __all__ = [
-    "solver_inputs",
     "rate_vector",
     "rate_vector_logdiff",
     "rate_and_jacobian",
@@ -37,15 +36,6 @@ def stacked_gain(gain: np.ndarray) -> np.ndarray:
 def offdiag(gain: np.ndarray) -> np.ndarray:
     """Interference-only gains: the lower half of a fresh stacked_gain."""
     return stacked_gain(gain)[..., np.shape(gain)[-1]:, :]
-
-
-def _frame(s, noise):
-    """(u, u / |u|), u_i = ln(1 + gain_ii / noise) the single-user rates,
-    from gains or S (..., 2K, K): the scalarization frame a = -u, r."""
-    # .sum and sqrt of a sum give np.sum's and np.linalg.norm's bits at a
-    # fraction of their call overhead
-    u = np.log1p(np.diagonal(s, axis1=-2, axis2=-1) / noise)
-    return u, u / np.sqrt((u * u).sum(-1, keepdims=True))
 
 
 def _sinr(x, s, noise):
@@ -76,50 +66,60 @@ def _nonnegative(name: str, values) -> np.ndarray:
     return arr
 
 
-# NetworkInstance wrappers.
+def _form(gain, noise):
+    """(S, u, u / |u|), read-only, of gains (K, K) or (B, K, K): S =
+    stacked_gain(gain) and the frame a = -u, r of the single-user rates
+    u_i = ln(1 + gain_ii / noise); ValueError unless every u_i > 0."""
+    s = stacked_gain(gain)
+    u = np.log1p(s.diagonal(axis1=-2, axis2=-1) / noise)
+    if not u.min() > 0.0:  # False for any NaN
+        raise ValueError("degenerate network: zero single-user rate")
+    # sqrt of a .sum gives np.linalg.norm's bits at less call overhead
+    form = s, u, u / np.sqrt((u * u).sum(-1, keepdims=True))
+    for arr in form:
+        arr.flags.writeable = False
+    return form
 
-def _prepared(net: NetworkInstance):
-    """(S, u, u / |u|) of one network, checked and built on its first solve
-    and kept on it (its gain is read-only); a failed check keeps nothing."""
+
+class _Block(tuple):
+    """Networks that share K and noise, solved as one: building it checks
+    them and keeps their _form (gains stacked once) on it, not on them."""
+
+    def __new__(cls, nets):
+        block = super().__new__(cls, nets)
+        if len({(n.k_links, n.noise_power) for n in block}) != 1:
+            raise ValueError("a block needs networks of one K and noise")
+        block.noise_power = noise = block[0].noise_power
+        block._prepared = _form(np.stack([n.gain for n in block]), noise)
+        return block
+
+
+def _prepared(net):
+    """_form of a _Block, or of one network: built on its first solve and
+    kept on it (its gain is read-only); a failed check keeps nothing."""
     prep = net.__dict__.get("_prepared")
     if prep is None:
-        u, r = _frame(net.gain, net.noise_power)
-        if not (u > 0.0).all():
-            raise ValueError("degenerate network: zero single-user rate")
-        prep = stacked_gain(net.gain), u, r
-        for arr in prep:
-            arr.flags.writeable = False
-        net.__dict__["_prepared"] = prep
+        prep = net.__dict__["_prepared"] = _form(net.gain, net.noise_power)
     return prep
 
 
-def solver_inputs(net, w):
-    """(S, noise, w), S = stacked_gain(gain), of one network with weights
-    (K,) (its kept S), or of a block: networks that share K and noise, S
-    (B, 2K, K), weights (B, K). Per network the weights must be finite and
-    nonnegative with one positive, and every single-user rate positive;
-    raises ValueError otherwise. Both solvers check their inputs here."""
-    if isinstance(net, NetworkInstance):
-        s, noise = _prepared(net)[0], net.noise_power
-    else:
-        nets = list(net)
-        if not nets:
-            raise ValueError("a block needs at least one network")
-        noise = nets[0].noise_power
-        if any(n.k_links != nets[0].k_links or n.noise_power != noise
-               for n in nets):
-            raise ValueError("a block's networks must share K and noise")
-        s = stacked_gain(np.stack([n.gain for n in nets]))
-        if not (s.diagonal(axis1=-2, axis2=-1) / noise > 0.0).all():
-            raise ValueError("degenerate network: zero single-user rate")
-    w, shape = np.asarray(w, dtype=float), s.shape[:-2] + s.shape[-1:]
+def _solver_inputs(net, w):
+    """(_prepared form, noise, w) of one network, w (K,), or of a block (a
+    _Block, or networks to build one), w (B, K). Both solvers check here:
+    ValueError unless each network's w is finite, >= 0, with one > 0."""
+    if not isinstance(net, (NetworkInstance, _Block)):
+        net = _Block(net)
+    form = _prepared(net)
+    w, shape = np.asarray(w, dtype=float), form[1].shape
     if w.shape != shape:
         raise ValueError(f"weights must have shape {shape}")
     # ndarray methods, not np.all/np.any: this runs on every solver call
     if not (_nonnegative("weights", w).max(-1) > 0.0).all():
         raise ValueError("weights need one positive entry per network")
-    return s, noise, w
+    return form, net.noise_power, w
 
+
+# NetworkInstance wrappers.
 
 def rate_vector(x, net: NetworkInstance) -> np.ndarray:
     """Per-link rates ln(1 + SINR_i) in nats."""

@@ -14,14 +14,14 @@ kept for oscillation studies. A fixed per-layer step-size schedule makes the
 solver a deterministic unrolled network; schedules can be the untrained
 constant default or learned offline.
 
-Every kernel holds a network's gains once, as S = [gain; offdiag(gain)]
-(..., 2K, K) (rates.stacked_gain). With w_pm = [w; -w], P = noise + S x
-gives total and interference power in one matvec, g = (w_pm / P) S in one
-vecmat, and the WSR is w_pm . ln P. run() solves a block of networks (same
-K and noise) in one batched forward, the one training differentiates, and
-one network in a loop on Python floats, cheaper at B = 1. The loop reads S
-and the frame (u, u/|u|) that the network's first solve checked and kept;
-its gain is read-only after construction, and later solves check only w.
+Every kernel reads one checked form (rates._form): a network's gains held
+once as S = [gain; offdiag(gain)] (..., 2K, K), and the frame (u, u/|u|).
+With w_pm = [w; -w], P = noise + S x gives total and interference power in
+one matvec, g = (w_pm / P) S in one vecmat, and the WSR is w_pm . ln P.
+run() solves a block of networks (same K and noise) in one batched forward,
+the one training differentiates, and one network in a loop on Python
+floats, cheaper at B = 1. A network keeps its form from its first solve and
+a block from its construction, so later solves check only w.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .netgen import NetworkInstance, _json_object
-from .rates import _frame, _prepared, solver_inputs
+from .rates import _solver_inputs
 
 __all__ = [
     "StepSchedule",
@@ -110,8 +110,8 @@ class SolverTrace:
     wsr: np.ndarray
 
 
-# Batched unrolled forward. Shapes: S (B,2K,K), w/x (B,K), scalars t/lam
-# (B,), powers P (B,2K). noise is a scalar. All float64.
+# Batched unrolled forward. Shapes: form S (B,2K,K), u and r (B,K), w/x
+# (B,K), scalars t/lam (B,), powers P (B,2K). noise is a scalar. float64.
 
 def _vecmat(v, mat):
     # (B,M) row vector times (B,M,K): out_j = sum_i v_i mat_ij
@@ -122,11 +122,11 @@ def _matvec(mat, v):
     return np.matmul(mat, v[:, :, None])[:, :, 0]
 
 
-def _unrolled_forward(s, noise, w, a1, a2, a3, kcut, x0, want_tape: bool,
+def _unrolled_forward(form, noise, w, a1, a2, a3, kcut, x0, want_tape: bool,
                       normalized: bool = True, check_finite: bool = False):
     b, k = w.shape
     w_pm = np.concatenate((w, -w), axis=-1)
-    u, r = _frame(s, noise)
+    s, u, r = form
     a_dot_w, c = -(w * u).sum(-1), (w * r).sum(-1)
     x = np.full((b, k), float(x0))
     lam = np.ones(b)
@@ -178,15 +178,15 @@ def run(net: NetworkInstance, w, schedule: StepSchedule,
     normalized = mode == "normalized"
     if not isinstance(net, NetworkInstance) and keep_trace:
         raise ValueError("a block keeps no trace; pass keep_trace=False")
-    s, noise, w = solver_inputs(net, w)
-    if s.ndim == 3:
+    form, noise, w = _solver_inputs(net, w)
+    if w.ndim == 2:
         return _unrolled_forward(
-            s, noise, w, schedule.alpha1, schedule.alpha2, schedule.alpha3,
-            schedule.n_layers, x0, want_tape=False, normalized=normalized,
-            check_finite=True)[0], None
+            form, noise, w, schedule.alpha1, schedule.alpha2,
+            schedule.alpha3, schedule.n_layers, x0, want_tape=False,
+            normalized=normalized, check_finite=True)[0], None
 
-    # the kept frame; on 1-D operands .dot gives @'s bits, cheaper
-    _, u, r = _prepared(net)
+    # on 1-D operands .dot gives @'s bits, cheaper
+    s, u, r = form
     a_dot_w, r_dot_w = -float((w * u).sum()), float((w * r).sum())
     w_pm = np.concatenate((w, -w))
     t, x, lam = 0.0, np.full(w.shape, x0), 1.0

@@ -9,7 +9,9 @@ explicit reverse-mode differentiation through the unrolled updates, batched
 over training instances; clamp and projection kinks use subgradient zero at
 the boundary, one in the interior, and the gradient-norm divisor is
 differentiated through. Finite differences on the forward pass reproduce
-these gradients, which the test suite checks.
+these gradients, which the test suite checks. Every drawn batch, the
+validation set and grad_schedule's network pass through rates._form, so a
+degenerate draw (a zero single-user rate) raises ValueError.
 
 Nothing here depends on a deep-learning framework; the update rule is a
 from-scratch Adam.
@@ -18,12 +20,13 @@ from-scratch Adam.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from . import netgen
 from .netgen import NetworkInstance, SystemParams
-from .rates import stacked_gain
+from .rates import _form
 from .solver import (StepSchedule, _matvec, _unrolled_forward, _vecmat,
                      viva_defaults)
 
@@ -39,6 +42,7 @@ __all__ = [
 
 WEIGHT_DISTS = ("uniform01", "all_ones")
 _STOP_TOLERANCE = 1e-4  # see TrainConfig
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and floor
 
 
 @dataclass
@@ -55,7 +59,7 @@ class TrainConfig:
     n_train: int = 50
     max_iter: int = 20000
     base_rate: float = 1e-3
-    refinement_factors: tuple = (0.1, 0.01)
+    refinement_factors: ClassVar = (0.1, 0.01)  # refine rates / base_rate
     weight_dist: str = "uniform01"
     validation_size: int = 500
     seed: int = 0
@@ -70,11 +74,6 @@ class TrainConfig:
             raise ValueError("base_rate must be finite and positive")
         if not 0.0 <= self.x0 <= 1.0:
             raise ValueError("x0 must lie in [0, 1]")
-        f = tuple(self.refinement_factors)
-        if any(not 0.0 < fi < 1.0 for fi in f):
-            raise ValueError("refinement factors must lie in (0, 1)")
-        if list(f) != sorted(f, reverse=True):
-            raise ValueError("refinement factors must decrease")
         if self.weight_dist not in WEIGHT_DISTS:
             raise ValueError(f"weight_dist must be one of {WEIGHT_DISTS}")
         if self.validation_size < 1 or self.val_every < 1:
@@ -100,11 +99,11 @@ def sample_weights(rng: np.random.Generator, count: int, k: int,
     raise ValueError(f"weight_dist must be one of {WEIGHT_DISTS}")
 
 
-# Batched unrolled backward through solver._unrolled_forward. Shapes: S
-# (B,2K,K) from rates.stacked_gain, w/x (B,K), scalars t/lam (B,), powers
-# P (B,2K). noise is a scalar. All float64.
+# Batched unrolled backward through solver._unrolled_forward. Shapes: the
+# form from rates._form (S (B,2K,K), u and u/|u| (B,K)), w/x (B,K), scalars
+# t/lam (B,), powers P (B,2K). noise is a scalar. All float64.
 
-def _loss_and_grad(s, noise, w, vec, kcut, x0):
+def _loss_and_grad(form, noise, w, vec, kcut, x0):
     """Batch-mean loss after kcut layers and its gradient in the flat
     3N step-size vector. Entries the loss cannot reach are zero."""
     n = vec.size // 3
@@ -112,8 +111,9 @@ def _loss_and_grad(s, noise, w, vec, kcut, x0):
     b = w.shape[0]
     w_pm = np.concatenate((w, -w), axis=-1)
     x, lam, p, wsr, c, a_dot_w, tape = _unrolled_forward(
-        s, noise, w, a1, a2, a3, kcut, x0, want_tape=True)
+        form, noise, w, a1, a2, a3, kcut, x0, want_tape=True)
     loss_val = -float(wsr.mean())
+    s = form[0]
 
     g_final = _vecmat(w_pm / p, s)
     xb = -g_final / b
@@ -150,11 +150,9 @@ def _loss_and_grad(s, noise, w, vec, kcut, x0):
     return loss_val, np.concatenate([ga1, ga2, ga3])
 
 
-def _mean_val_wsr(s, noise, w, vec, kcut, x0) -> float:
-    n = vec.size // 3
-    wsr = _unrolled_forward(s, noise, w, vec[:n], vec[n:2 * n], vec[2 * n:],
-                            kcut, x0, want_tape=False)[3]
-    return float(wsr.mean())
+def _mean_val_wsr(form, noise, w, vec, kcut, x0) -> float:
+    return float(_unrolled_forward(form, noise, w, *np.split(vec, 3), kcut,
+                                   x0, want_tape=False)[3].mean())
 
 
 def _active_indices(n: int, layer: int, param_set: str) -> np.ndarray:
@@ -187,10 +185,9 @@ def grad_schedule(net: NetworkInstance, w, schedule: StepSchedule,
     """
     if not 1 <= layer_cutoff <= schedule.n_layers:
         raise ValueError("layer_cutoff must be in [1, n_layers]")
-    w = np.asarray(w, dtype=float)
-    _, grad = _loss_and_grad(stacked_gain(net.gain)[None], net.noise_power,
-                             w[None, :], schedule.to_vector(), layer_cutoff,
-                             x0)
+    _, grad = _loss_and_grad(_form(net.gain[None], net.noise_power),
+                             net.noise_power, np.asarray(w, float)[None],
+                             schedule.to_vector(), layer_cutoff, x0)
     mask = np.zeros(3 * schedule.n_layers, dtype=bool)
     mask[_active_indices(schedule.n_layers, layer_cutoff, param_set)] = True
     return np.where(mask, grad, 0.0)
@@ -203,9 +200,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def zeros(cls, size: int) -> "AdamState":
@@ -216,13 +210,12 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState,
               rate: float):
     """One bias-corrected Adam update; returns (new_params, new_state)."""
     step = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = m / (1.0 - state.beta1 ** step)
-    v_hat = v / (1.0 - state.beta2 ** step)
-    new_params = params - rate * m_hat / (np.sqrt(v_hat) + state.eps)
-    return new_params, AdamState(m=m, v=v, step=step, beta1=state.beta1,
-                                 beta2=state.beta2, eps=state.eps)
+    m = _BETA1 * state.m + (1.0 - _BETA1) * grad
+    v = _BETA2 * state.v + (1.0 - _BETA2) * grad * grad
+    m_hat = m / (1.0 - _BETA1 ** step)
+    v_hat = v / (1.0 - _BETA2 ** step)
+    new_params = params - rate * m_hat / (np.sqrt(v_hat) + _EPS)
+    return new_params, AdamState(m=m, v=v, step=step)
 
 
 def _stage_should_stop(val_losses: list, cfg: TrainConfig) -> bool:
@@ -256,8 +249,8 @@ def train_layerwise(config: TrainConfig,
     train_rng = np.random.default_rng(train_ss)
     noise = netgen.noise_power_mw(params)
 
-    val_s = stacked_gain(netgen.gain_batch(params, k_links,
-                                           config.validation_size, val_rng))
+    val_form = _form(netgen.gain_batch(
+        params, k_links, config.validation_size, val_rng), noise)
     val_w = sample_weights(val_rng, config.validation_size, k_links,
                            config.weight_dist)
 
@@ -280,7 +273,7 @@ def train_layerwise(config: TrainConfig,
                 w_b = sample_weights(train_rng, config.n_train, k_links,
                                      config.weight_dist)
                 loss_val, grad = _loss_and_grad(
-                    stacked_gain(gain_b), noise, w_b, vec, layer, config.x0)
+                    _form(gain_b, noise), noise, w_b, vec, layer, config.x0)
                 if not np.isfinite(loss_val):
                     raise FloatingPointError(
                         f"non-finite training loss at layer {layer} "
@@ -288,7 +281,7 @@ def train_layerwise(config: TrainConfig,
                 sub, adam = adam_step(vec[active], grad[active], adam, rate)
                 vec[active] = sub
                 if it % config.val_every == 0 or it == config.max_iter:
-                    val = _mean_val_wsr(val_s, noise, val_w, vec, layer,
+                    val = _mean_val_wsr(val_form, noise, val_w, vec, layer,
                                         config.x0)
                     history.append(HistoryRecord(
                         layer=layer, stage=f"L{layer}.{stage_name}",

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import toy_net
-from d2dpower import benchmark, netgen
+from d2dpower import benchmark, netgen, rates
 from d2dpower.benchmark import (cdf_points, evaluate,
                                 fplinq_point_solver, make_test_set,
                                 report_to_csv, schedule_point_solver,
@@ -88,6 +88,24 @@ def test_evaluate_runs_each_solver_once_per_instance(monkeypatch):
               for i, j in ((0, 2), (2, 4), (4, 5), (5, 6), (6, 7))]
     assert seen == {"a": blocks, "b": blocks}
     assert rep.ratios.shape == (7,) and rep.skipped == 0
+
+
+def test_evaluate_stacks_each_block_once(monkeypatch):
+    # three blocks of two K = 10 networks: evaluate and both solvers read
+    # one S per block, which the block holds, not its networks
+    monkeypatch.setattr(benchmark, "BLOCK_BYTES", 16 * 10 * 10 * 2)
+    test = make_test_set(P, 10, 6, seed=4)
+    calls = []
+
+    def counted(gain, stack=rates.stacked_gain):
+        calls.append(np.shape(gain))
+        return stack(gain)
+
+    monkeypatch.setattr(rates, "stacked_gain", counted)
+    evaluate(test, schedule_point_solver(viva_defaults(3)),
+             fplinq_point_solver(10))
+    assert calls == [(2, 10, 10)] * 3
+    assert not any("_prepared" in vars(net) for net, _ in test)
 
 
 def test_evaluate_rejects_per_network_solver_output():

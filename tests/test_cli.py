@@ -238,6 +238,16 @@ BAD_INPUTS = {
     "config-not-an-object": (
         ["generate", "--config", "{tmp}/list2.json", "--out", "{tmp}/nets"],
         "JSON object"),
+    "layout-params-not-an-object": (
+        ["fplinq", "--layout", "{tmp}/params_list.json"], "[1]: not an"),
+    "layout-param-unknown": (
+        ["fplinq", "--layout", "{tmp}/params_foo.json"], "foo"),
+    "layout-k-null": (
+        ["fplinq", "--layout", "{tmp}/k_null.json"], "k must be an integer"),
+    "train-degenerate-config": (
+        ["train", "--config", "{tmp}/silent.json", "--layers", "1",
+         "--max-iter", "1", "--n-train", "2", "--validation-size", "2",
+         "--out", "{tmp}/s.json"], "degenerate"),
 }
 
 
@@ -247,7 +257,12 @@ def _malformed_files(tmp_path, layout) -> None:
     (tmp_path / "list1.json").write_text("[1]")
     (tmp_path / "list2.json").write_text("[1, 2]")
     (tmp_path / "abc.json").write_text('{"bandwidth_hz": "abc"}')
+    (tmp_path / "silent.json").write_text('{"tx_power_dbm": -3300}')
     doc = json.loads(layout.read_text())
+    for name, key, value in (("params_list", "params", [1]),
+                             ("params_foo", "params", {"foo": 1}),
+                             ("k_null", "k", None)):
+        (tmp_path / f"{name}.json").write_text(json.dumps({**doc, key: value}))
     del doc["noise_power"]
     (tmp_path / "no_noise.json").write_text(json.dumps(doc))
 

@@ -9,6 +9,7 @@ from conftest import toy_net
 from d2dpower import netgen, rates
 from d2dpower.fplinq import fp_iterate, fplinq
 from d2dpower.solver import run, viva_defaults
+from d2dpower.training import grad_schedule
 
 # 2-link hand case: SINR_1 = 2/(1 + 0.25) = 1.6, SINR_2 = 2/(1 + 0.25) = 1.6
 HAND_GAIN = np.array([[2.0, 0.5], [0.25, 4.0]])
@@ -168,23 +169,22 @@ def test_utopian_attained_by_lone_full_power():
 
 
 def test_scalarization_frame_geometry():
-    # rates._frame gives u and r = u/|u|; the solver dots them with w into
-    # a.w and r.w for a = -u
+    # rates._form gives u and r = u/|u| after S; the solver dots them with w
+    # into a.w and r.w for a = -u
     nets = [toy_net(HAND_GAIN), toy_net(2.0 * HAND_GAIN)]
     ws = np.array([[0.5, 0.5], [0.25, 1.0]])
     u = np.array([rates.utopian_point(net) for net in nets])
     expect_a = -(ws * u).sum(-1)
     expect_r = (ws * u).sum(-1) / np.linalg.norm(u, axis=-1)
 
-    def dots(s, w):
-        fu, fr = rates._frame(s, 1.0)
+    def dots(gain, w):
+        _, fu, fr = rates._form(gain, 1.0)
         return -(w * fu).sum(-1), (w * fr).sum(-1)
 
     for net, w, a, r in zip(nets, ws, expect_a, expect_r):
-        got = dots(rates.stacked_gain(net.gain), w)
+        got = dots(net.gain, w)
         assert got == pytest.approx((a, r), rel=1e-15)
-    gain = np.stack([net.gain for net in nets])
-    got = dots(rates.stacked_gain(gain), ws)
+    got = dots(np.stack([net.gain for net in nets]), ws)
     assert np.allclose(got, (expect_a, expect_r), rtol=1e-15, atol=0.0)
 
 
@@ -200,7 +200,7 @@ def test_batched_helpers_match_loop():
 
 
 # One network's prepared form (rates._prepared): S, u and u/|u| are built
-# on its first solve and kept on it.
+# on its first solve and kept on it; a block's, when the block is built.
 
 def _solve_both(net, w):
     sched = viva_defaults(6)
@@ -211,9 +211,10 @@ def test_network_gain_and_kept_s_are_read_only():
     net = netgen.sample_layout(netgen.SystemParams(), 4, seed=2)
     with pytest.raises(ValueError):
         net.gain[0, 0] = 1.0
-    s = rates.solver_inputs(net, np.ones(4))[0]
-    with pytest.raises(ValueError):
-        s[4, 1] = 1.0
+    for item in (net, rates._Block([net, net])):
+        for arr in rates._prepared(item):
+            with pytest.raises(ValueError):
+                arr[..., 1] = 1.0
 
 
 def test_prepared_network_solves_the_same_twice():
@@ -245,7 +246,8 @@ def test_degenerate_network_raises_on_every_call():
     for _ in range(2):
         for solve in (lambda: run(net, w, viva_defaults(3)),
                       lambda: fplinq(net, w, 5),
-                      lambda: rates.utopian_point(net)):
+                      lambda: rates.utopian_point(net),
+                      lambda: grad_schedule(net, w, viva_defaults(3), 1)):
             with pytest.raises(ValueError, match="degenerate"):
                 solve()
 
