@@ -5,7 +5,7 @@ uniform angle and a uniform distance in [d_min, d_max] from its transmitter.
 Link gains follow a LoS street-canyon median pathloss with a single breakpoint
 (dual-slope 20/40 dB per decade), no shadowing or fast fading. All powers are
 linear milliwatts. Gains are computed from squared distances in closed form;
-`pathloss_db` is the dB reference they match.
+`pathloss_db` is their dB reference. sample_instances checks a draw once.
 """
 
 from __future__ import annotations
@@ -84,12 +84,17 @@ class NetworkInstance:
             raise ValueError("positions must have shape (k, 2)")
         if self.gain.shape != (k, k):
             raise ValueError("gain must have shape (k, k)")
-        # one min and one max; the comparison is False for any NaN
-        if not 0.0 < self.gain.min() <= self.gain.max() < np.inf:
-            raise ValueError("gains must be finite and strictly positive")
-        if not (math.isfinite(self.noise_power) and self.noise_power > 0.0):
-            raise ValueError("noise_power must be finite and positive")
+        _check_gain_noise(self.gain, self.noise_power)
         self.gain.flags.writeable = False  # rates._prepared keeps S
+
+
+def _check_gain_noise(gain: np.ndarray, noise) -> None:
+    # every gain (of a matrix or a stack) and the noise finite and > 0:
+    # one min and one max; the comparison is False for any NaN
+    if gain.size and not 0.0 < gain.min() <= gain.max() < np.inf:
+        raise ValueError("gains must be finite and strictly positive")
+    if not (math.isfinite(noise) and noise > 0.0):
+        raise ValueError("noise_power must be finite and positive")
 
 
 def _breakpoint(params: SystemParams) -> tuple[float, float]:
@@ -157,23 +162,26 @@ def _geometry(params: SystemParams, k: int, rng: np.random.Generator,
 
 def sample_layout(params: SystemParams, k: int, seed: int) -> NetworkInstance:
     """Sample one network instance; identical seeds give identical instances."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     return replace(sample_instances(params, k, 1, seed)[0], seed=seed)
 
 
 def sample_instances(params: SystemParams, k: int, count: int,
                      seed) -> list[NetworkInstance]:
-    """Sample a batch of instances from one seeded stream."""
+    """Sample a batch of instances from one seeded stream; their gains are
+    checked once, as one read-only stack that the instances view."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     rng = np.random.default_rng(seed)
     tx, rx = _geometry(params, k, rng, count=count)
     noise = noise_power_mw(params)
     gains = gains_from_geometry(tx, rx, params)
-    return [
-        NetworkInstance(k_links=k, tx_pos=tx[b], rx_pos=rx[b],
-                        gain=gains[b], noise_power=noise, seed=None)
-        for b in range(count)
-    ]
+    _check_gain_noise(gains, noise)
+    gains.flags.writeable = False  # before slicing: the views inherit it
+    nets = [object.__new__(NetworkInstance) for _ in range(count)]
+    for b, net in enumerate(nets):  # the checks above are __post_init__'s
+        net.__dict__.update(k_links=k, tx_pos=tx[b], rx_pos=rx[b],
+                            gain=gains[b], noise_power=noise, seed=None)
+    return nets
 
 
 def gain_batch(params: SystemParams, k: int, count: int,
@@ -226,12 +234,13 @@ def load_layout(path) -> tuple[NetworkInstance, SystemParams]:
     k, params = doc["k"], _params(doc["params"], path)
     if type(k) is not int:
         raise ValueError(f"{path}: k must be an integer")
-    net = NetworkInstance(
+    if type(doc["noise_power"]) not in (int, float):  # no null or bool
+        raise ValueError(f"{path}: noise_power must be a number")
+    return NetworkInstance(
         k_links=k,
         tx_pos=np.asarray(doc["tx_pos"], dtype=float),
         rx_pos=np.asarray(doc["rx_pos"], dtype=float),
         gain=np.asarray(doc["gain"], dtype=float).reshape(k, k),
         noise_power=float(doc["noise_power"]),
         seed=doc.get("seed"),
-    )
-    return net, params
+    ), params

@@ -69,11 +69,11 @@ def _nonnegative(name: str, values) -> np.ndarray:
 def _form(gain, noise):
     """(S, u, u / |u|), read-only, of gains (K, K) or (B, K, K): S =
     stacked_gain(gain) and the frame a = -u, r of the single-user rates
-    u_i = ln(1 + gain_ii / noise); ValueError unless every u_i > 0."""
+    u_i = ln(1 + gain_ii / noise); ValueError unless 0 < u_i < inf."""
     s = stacked_gain(gain)
     u = np.log1p(s.diagonal(axis1=-2, axis2=-1) / noise)
-    if not u.min() > 0.0:  # False for any NaN
-        raise ValueError("degenerate network: zero single-user rate")
+    if not 0.0 < u.min() <= u.max() < np.inf:  # False for any NaN
+        raise ValueError("degenerate network: single-user rate 0 or inf")
     # sqrt of a .sum gives np.linalg.norm's bits at less call overhead
     form = s, u, u / np.sqrt((u * u).sum(-1, keepdims=True))
     for arr in form:

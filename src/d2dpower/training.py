@@ -11,7 +11,7 @@ the boundary, one in the interior, and the gradient-norm divisor is
 differentiated through. Finite differences on the forward pass reproduce
 these gradients, which the test suite checks. Every drawn batch, the
 validation set and grad_schedule's network pass through rates._form, so a
-degenerate draw (a zero single-user rate) raises ValueError.
+degenerate draw (a zero or infinite single-user rate) raises ValueError.
 
 Nothing here depends on a deep-learning framework; the update rule is a
 from-scratch Adam.

@@ -248,6 +248,14 @@ BAD_INPUTS = {
         ["train", "--config", "{tmp}/silent.json", "--layers", "1",
          "--max-iter", "1", "--n-train", "2", "--validation-size", "2",
          "--out", "{tmp}/s.json"], "degenerate"),
+    "train-infinite-gains-config": (
+        ["train", "--config", "{tmp}/loud.json", "--layers", "1",
+         "--max-iter", "1", "--n-train", "2", "--validation-size", "2",
+         "--out", "{tmp}/s.json"], "degenerate"),
+    "layout-noise-null": (
+        ["fplinq", "--layout", "{tmp}/noise_null.json"], "noise_power"),
+    "generate-negative-count": (
+        ["generate", "--count", "-1", "--out", "{tmp}/nets"], "--count"),
 }
 
 
@@ -258,10 +266,12 @@ def _malformed_files(tmp_path, layout) -> None:
     (tmp_path / "list2.json").write_text("[1, 2]")
     (tmp_path / "abc.json").write_text('{"bandwidth_hz": "abc"}')
     (tmp_path / "silent.json").write_text('{"tx_power_dbm": -3300}')
+    (tmp_path / "loud.json").write_text('{"tx_power_dbm": 3300}')
     doc = json.loads(layout.read_text())
     for name, key, value in (("params_list", "params", [1]),
                              ("params_foo", "params", {"foo": 1}),
-                             ("k_null", "k", None)):
+                             ("k_null", "k", None),
+                             ("noise_null", "noise_power", None)):
         (tmp_path / f"{name}.json").write_text(json.dumps({**doc, key: value}))
     del doc["noise_power"]
     (tmp_path / "no_noise.json").write_text(json.dumps(doc))

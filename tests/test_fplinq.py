@@ -104,8 +104,7 @@ def test_batched_iterate_matches_loop():
     batched = fp_iterate(x0, w, gain, rates.offdiag(gain),
                          nets[0].noise_power, 20)
     for b, net in enumerate(nets):
-        single = fplinq(net, w[b], 20)
-        assert np.allclose(batched[b], single, rtol=1e-10, atol=1e-12)
+        assert np.array_equal(batched[b], fplinq(net, w[b], 20))
 
 
 def _three_matvec_iterate(x, w, gain, gain_off, noise, iters):
@@ -123,6 +122,48 @@ def _three_matvec_iterate(x, w, gain, gain_off, noise, iters):
             x = np.where(denom > 0.0,
                          np.minimum(1.0, y2 * boost / denom), 0.0)
     return x
+
+
+def _allocating_iterate(x, w, gain, gain_off, noise, iters):
+    # The two-matvec update as first written: direct gains read through
+    # the strided diagonal view, a fresh array for every intermediate.
+    w = np.asarray(w, dtype=float)
+    direct = np.diagonal(gain, axis1=-2, axis2=-1)
+    off_t = np.swapaxes(gain_off, -1, -2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(iters):
+            interf = noise + np.matmul(gain_off, x[..., None])[..., 0]
+            dx = direct * x
+            boost = w * (1.0 + dx / interf) * direct
+            y = np.sqrt(boost * x) / (interf + dx)
+            y2 = y * y
+            denom = (np.matmul(off_t, y2[..., None])[..., 0]
+                     + direct * y2) ** 2
+            x = np.where(denom > 0.0,
+                         np.minimum(1.0, y2 * boost / denom), 0.0)
+    return x
+
+
+@pytest.mark.parametrize("k", [1, 5, 10, 50])
+def test_in_place_update_is_bit_identical_to_allocating_one(k):
+    p = netgen.SystemParams()
+    noise = netgen.noise_power_mw(p)
+    for b in (1, 3, 200):
+        rng = np.random.default_rng((k, b))
+        gain = netgen.gain_batch(p, k, b, rng)
+        w = rng.uniform(size=(b, k))
+        w[-1] = 0.0  # all-zero weights: denom is 0 and x falls to 0
+        x = rng.uniform(size=(b, k))
+        args = (x, w, gain, rates.offdiag(gain), noise)
+        before = [a.copy() for a in args[:4]]
+        for iters in (1, 30):
+            assert np.array_equal(fp_iterate(*args, iters),
+                                  _allocating_iterate(*args, iters))
+        # one network, x and w of shape (K,)
+        one = (x[0], w[0], gain[0], args[3][0], noise, 30)
+        assert np.array_equal(fp_iterate(*one), _allocating_iterate(*one))
+        for a, a0 in zip(args, before):  # the caller's arrays are read only
+            assert np.array_equal(a, a0)
 
 
 def test_two_matvec_update_matches_three_matvec_oracle():

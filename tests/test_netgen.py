@@ -219,6 +219,39 @@ def test_sample_instances_matches_batch_stream():
     assert not np.array_equal(nets[0].gain, other[0].gain)
 
 
+def test_sample_instances_are_checked_read_only_instances():
+    p = SystemParams()
+    assert netgen.sample_instances(p, 5, 0, seed=3) == []
+    for count in (1, 4):
+        nets = netgen.sample_instances(p, 5, count, seed=3)
+        assert len(nets) == count
+        for net in nets:
+            assert not net.gain.flags.writeable
+            assert not net.gain.base.flags.writeable  # the drawn stack
+            fresh = {f.name: getattr(net, f.name)
+                     for f in dataclasses.fields(NetworkInstance)}
+            ref = NetworkInstance(**fresh)  # through the checked __init__
+            assert type(net) is NetworkInstance
+            assert vars(net).keys() == vars(ref).keys()
+            for name, value in fresh.items():
+                assert np.array_equal(getattr(ref, name), value)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("dbm", [3300.0, -3300.0])
+def test_sample_instances_reject_a_bad_draw_as_an_instance_does(dbm):
+    # every gain overflows to inf (+3300 dBm) or underflows to 0 (-3300)
+    p = SystemParams(tx_power_dbm=dbm)
+    gain = netgen.gain_batch(p, 3, 1, np.random.default_rng(0))[0]
+    with pytest.raises(ValueError) as one:
+        NetworkInstance(k_links=3, tx_pos=np.zeros((3, 2)),
+                        rx_pos=np.ones((3, 2)), gain=gain, noise_power=1.0)
+    for count in (1, 3):
+        with pytest.raises(ValueError) as bulk:
+            netgen.sample_instances(p, 3, count, seed=0)
+        assert str(bulk.value) == str(one.value)
+
+
 def test_sample_layout_is_one_draw_of_sample_instances():
     for p in (SystemParams(), SystemParams(d_max_m=30.0, area_side_m=80.0)):
         for k, seed in ((1, 0), (5, 7), (40, (3, 1))):

@@ -240,16 +240,24 @@ def test_replaced_gain_gets_a_fresh_prepared_form():
 
 
 def test_degenerate_network_raises_on_every_call():
-    # 5e-324 / 4 rounds to 0: link 0's single-user rate underflows
-    net = toy_net([[5e-324, 1.0], [1.0, 1.0]], noise=4.0)
     w = np.ones(2)
-    for _ in range(2):
-        for solve in (lambda: run(net, w, viva_defaults(3)),
-                      lambda: fplinq(net, w, 5),
-                      lambda: rates.utopian_point(net),
-                      lambda: grad_schedule(net, w, viva_defaults(3), 1)):
-            with pytest.raises(ValueError, match="degenerate"):
-                solve()
+    for gain, noise in (
+            # 5e-324 / 4 rounds to 0: link 0's single-user rate underflows
+            ([[5e-324, 1.0], [1.0, 1.0]], 4.0),
+            # 1e300 / 1e-300 overflows: link 0's single-user rate is inf
+            ([[1e300, 1.0], [1.0, 1.0]], 1e-300)):
+        net = toy_net(gain, noise=noise)
+        for _ in range(2):
+            for solve in (lambda: run(net, w, viva_defaults(3)),
+                          lambda: fplinq(net, w, 5),
+                          lambda: rates.utopian_point(net),
+                          lambda: grad_schedule(net, w, viva_defaults(3),
+                                                1)):
+                with pytest.raises(ValueError, match="degenerate"):
+                    solve()
+    # a training batch of infinite gains, as a huge tx power draws them
+    with pytest.raises(ValueError, match="degenerate"):
+        rates._form(np.full((3, 2, 2), np.inf), 1.0)
 
 
 def test_utopian_point_is_a_writable_copy():
