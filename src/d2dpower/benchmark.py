@@ -16,7 +16,7 @@ from itertools import groupby
 import numpy as np
 
 from . import netgen
-from .netgen import SystemParams
+from .netgen import SystemParams, _finite_array
 from .rates import _Block, _sinr, _solver_inputs
 from .rates import weighted_sum_rate  # perfbench/tracing.py rebinds it
 from .solver import StepSchedule, run
@@ -97,9 +97,7 @@ def cdf_points(values):
     Duplicates collapse into one point carrying their combined mass; the
     last fraction is exactly 1.
     """
-    vals = np.asarray(values, dtype=float)
-    if vals.size == 0:
-        raise ValueError("need at least one value")
+    vals = _finite_array("values", values, -np.inf)
     uniq, counts = np.unique(vals, return_counts=True)
     fractions = np.cumsum(counts) / vals.size
     return uniq, fractions

@@ -28,8 +28,7 @@ def load_params(path) -> SystemParams:
 
 
 def cmd_generate(args) -> int:
-    if args.count < 1:
-        raise ValueError("--count must be at least 1")
+    netgen._count("--count", args.count)
     params = load_params(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

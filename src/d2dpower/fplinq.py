@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .netgen import NetworkInstance
+from .netgen import NetworkInstance, _count
 from .rates import _solver_inputs
 
 __all__ = ["fplinq", "fp_iterate"]
@@ -58,9 +58,7 @@ def fplinq(net: NetworkInstance, w, iters: int = 100) -> np.ndarray:
     networks that share K and noise, with weights (B, K). x has the
     weights' shape; the inputs pass rates._solver_inputs.
     """
-    if iters < 0:
-        raise ValueError("iters must be nonnegative")
     (s, _, _), noise, w = _solver_inputs(net, w)
     k = w.shape[-1]
     return fp_iterate(np.ones(w.shape), w, s[..., :k, :], s[..., k:, :],
-                      noise, iters)
+                      noise, _count("iters", iters, 0))

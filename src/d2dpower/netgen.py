@@ -6,12 +6,16 @@ Link gains follow a LoS street-canyon median pathloss with a single breakpoint
 (dual-slope 20/40 dB per decade), no shadowing or fast fading. All powers are
 linear milliwatts. Gains are computed from squared distances in closed form;
 `pathloss_db` is their dB reference. sample_instances checks a draw once.
+
+Every public entry checks its inputs with the private _count, _real and
+_finite_array below; each raises ValueError naming the argument.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, asdict, fields, replace
 
 import numpy as np
@@ -47,18 +51,11 @@ class SystemParams:
     area_side_m: float = 500.0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
-                raise ValueError(f"{f.name} must be a finite number")
-        if not (0.0 < self.d_min_m < self.d_max_m):
-            raise ValueError("need 0 < d_min_m < d_max_m")
-        if self.area_side_m <= 0.0:
-            raise ValueError("area_side_m must be positive")
-        if self.bandwidth_hz <= 0.0 or self.carrier_hz <= 0.0:
-            raise ValueError("bandwidth_hz and carrier_hz must be positive")
-        if self.antenna_height_m <= 0.0:
-            raise ValueError("antenna_height_m must be positive")
+        for f in fields(self):  # powers in dBm are signed, the rest > 0
+            _real(f.name, getattr(self, f.name),
+                  -math.inf if "dbm" in f.name else 0.0, strict=True)
+        if not self.d_min_m < self.d_max_m:
+            raise ValueError("d_min_m must be below d_max_m")
 
 
 @dataclass(frozen=True)
@@ -77,9 +74,7 @@ class NetworkInstance:
     seed: int | None = None
 
     def __post_init__(self):
-        k = self.k_links
-        if k < 1:
-            raise ValueError("k_links must be >= 1")
+        k = _count("k_links", self.k_links)
         if self.tx_pos.shape != (k, 2) or self.rx_pos.shape != (k, 2):
             raise ValueError("positions must have shape (k, 2)")
         if self.gain.shape != (k, k):
@@ -88,13 +83,43 @@ class NetworkInstance:
         self.gain.flags.writeable = False  # rates._prepared keeps S
 
 
+def _count(name: str, value, low: int = 1) -> int:
+    """value as an int; ValueError naming it unless an integer >= low."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < low):
+        raise ValueError(f"{name} must be an integer >= {low}")
+    return int(value)
+
+
+def _real(name: str, value, low: float = -math.inf, high: float = math.inf,
+          strict: bool = False) -> float:
+    """value as a float; ValueError naming it unless a finite real in
+    [low, high], or in (low, high] if strict. Bools are not numbers here."""
+    if (not isinstance(value, bool)
+            and isinstance(value, (int, float, np.integer, np.floating))
+            and (low < value if strict else low <= value) and value <= high
+            and math.isfinite(value)):
+        return float(value)
+    raise ValueError(f"{name} must be a finite number in "
+                     f"{'(' if strict else '['}{low:g}, {high:g}]")
+
+
+def _finite_array(name: str, values, low: float = 0.0) -> np.ndarray:
+    """values as a float array; ValueError naming it unless nonempty, all
+    finite and >= low (a comparison with NaN is False)."""
+    arr = np.asarray(values, dtype=float)
+    if not arr.size:
+        raise ValueError(f"{name} must not be empty")
+    if not max(low, -sys.float_info.max) <= arr.min() <= arr.max() < np.inf:
+        raise ValueError(f"{name} must be finite and >= {low:g}")
+    return arr
+
+
 def _check_gain_noise(gain: np.ndarray, noise) -> None:
-    # every gain (of a matrix or a stack) and the noise finite and > 0:
-    # one min and one max; the comparison is False for any NaN
+    # all gains (of a matrix or a stack) finite and > 0; False for any NaN
     if gain.size and not 0.0 < gain.min() <= gain.max() < np.inf:
         raise ValueError("gains must be finite and strictly positive")
-    if not (math.isfinite(noise) and noise > 0.0):
-        raise ValueError("noise_power must be finite and positive")
+    _real("noise_power", noise, 0.0, strict=True)
 
 
 def _breakpoint(params: SystemParams) -> tuple[float, float]:
@@ -135,7 +160,8 @@ def gains_from_geometry(tx_pos: np.ndarray, rx_pos: np.ndarray,
     tx = np.asarray(tx_pos, dtype=float)
     rx = np.asarray(rx_pos, dtype=float)
     r_bp, l_bp = _breakpoint(params)
-    c = 10.0 ** ((params.tx_power_dbm - l_bp - 6.0) / 10.0)
+    with np.errstate(over="ignore"):  # inf gains fail the later checks
+        c = 10.0 ** ((params.tx_power_dbm - l_bp - 6.0) / 10.0)
     dx = rx[..., :, None, 0] - tx[..., None, :, 0]
     dy = rx[..., :, None, 1] - tx[..., None, :, 1]
     # seeded outputs follow the last bits: keep this order of operations
@@ -169,8 +195,7 @@ def sample_instances(params: SystemParams, k: int, count: int,
                      seed) -> list[NetworkInstance]:
     """Sample a batch of instances from one seeded stream; their gains are
     checked once, as one read-only stack that the instances view."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k, count = _count("k", k), _count("count", count, 0)
     rng = np.random.default_rng(seed)
     tx, rx = _geometry(params, k, rng, count=count)
     noise = noise_power_mw(params)
@@ -203,7 +228,7 @@ def save_layout(path, net: NetworkInstance, params: SystemParams) -> None:
         "noise_power": net.noise_power,
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
+        json.dump(doc, fh, indent=1, default=np.generic.item)  # numpy scalars
         fh.write("\n")
 
 
@@ -231,16 +256,13 @@ def _params(doc, path) -> SystemParams:
 def load_layout(path) -> tuple[NetworkInstance, SystemParams]:
     doc = _json_object(path, "k", "params", "tx_pos", "rx_pos", "gain",
                        "noise_power")
-    k, params = doc["k"], _params(doc["params"], path)
-    if type(k) is not int:
-        raise ValueError(f"{path}: k must be an integer")
-    if type(doc["noise_power"]) not in (int, float):  # no null or bool
-        raise ValueError(f"{path}: noise_power must be a number")
+    k, params = _count(f"{path}: k", doc["k"]), _params(doc["params"], path)
     return NetworkInstance(
         k_links=k,
         tx_pos=np.asarray(doc["tx_pos"], dtype=float),
         rx_pos=np.asarray(doc["rx_pos"], dtype=float),
         gain=np.asarray(doc["gain"], dtype=float).reshape(k, k),
-        noise_power=float(doc["noise_power"]),
+        noise_power=_real(f"{path}: noise_power", doc["noise_power"], 0.0,
+                          strict=True),
         seed=doc.get("seed"),
     ), params

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .netgen import NetworkInstance
+from .netgen import NetworkInstance, _finite_array
 
 __all__ = [
     "rate_vector",
@@ -53,17 +53,6 @@ def sinr_array(x, gain, noise):
 
 def rate_array(x, gain, noise):
     return np.log1p(sinr_array(x, gain, noise))
-
-
-def _nonnegative(name: str, values) -> np.ndarray:
-    """values as a float array; ValueError unless nonempty, all finite and
-    >= 0."""
-    arr = np.asarray(values, dtype=float)
-    if not arr.size:
-        raise ValueError(f"{name} must not be empty")
-    if not 0.0 <= arr.min() <= arr.max() < np.inf:  # False for any NaN
-        raise ValueError(f"{name} must be finite and nonnegative")
-    return arr
 
 
 def _form(gain, noise):
@@ -114,7 +103,7 @@ def _solver_inputs(net, w):
     if w.shape != shape:
         raise ValueError(f"weights must have shape {shape}")
     # ndarray methods, not np.all/np.any: this runs on every solver call
-    if not (_nonnegative("weights", w).max(-1) > 0.0).all():
+    if not (_finite_array("weights", w).max(-1) > 0.0).all():
         raise ValueError("weights need one positive entry per network")
     return form, net.noise_power, w
 

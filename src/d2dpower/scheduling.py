@@ -16,8 +16,8 @@ import numpy as np
 
 from .benchmark import fplinq_point_solver as fplinq_solver
 from .benchmark import schedule_point_solver
-from .netgen import NetworkInstance
-from .rates import _nonnegative, rate_vector, utopian_point
+from .netgen import NetworkInstance, _count, _finite_array, _real
+from .rates import rate_vector, utopian_point
 from .solver import StepSchedule
 from .solver import run  # perfbench/tracing.py rebinds it
 from .fplinq import fplinq  # perfbench/tracing.py rebinds it
@@ -49,23 +49,21 @@ class UtilitySpec:
     def __post_init__(self):
         if self.kind not in UTILITIES:
             raise ValueError(f"kind must be one of {UTILITIES}")
-        if not (np.isfinite(self.v) and self.v >= 0.0):
-            raise ValueError("v must be finite and nonnegative")
+        _real("v", self.v, 0.0)
 
 
 def queue_update(q, rates, arrivals) -> np.ndarray:
     """One slot: serve at the realized rates, then add new arrivals."""
-    return (np.maximum(0.0, _nonnegative("queues", q) -
-                       _nonnegative("rates", rates)) +
-            _nonnegative("arrivals", arrivals))
+    return (np.maximum(0.0, _finite_array("queues", q) -
+                       _finite_array("rates", rates)) +
+            _finite_array("arrivals", arrivals))
 
 
 def aux_proportional(q, v: float, a_max: float) -> np.ndarray:
     """argmax_a in [0, a_max]^K of v sum_i ln(a_i) - q^T a, per coordinate
     a_i = min(a_max, v / q_i), with a_i = a_max where q_i = 0."""
-    q = _nonnegative("queues", q)
-    if a_max <= 0.0 or v < 0.0:
-        raise ValueError("need a_max > 0 and v >= 0")
+    q = _finite_array("queues", q)
+    v, a_max = _real("v", v, 0.0), _real("a_max", a_max, 0.0, strict=True)
     with np.errstate(divide="ignore"):
         unclipped = np.where(q > 0.0, v / q, np.inf)
     return np.minimum(a_max, unclipped)
@@ -77,7 +75,7 @@ def aux_maxmin(q, v: float, u) -> np.ndarray:
     The optimum is bang-bang along a = m u for m in {0, 1}: m = 1 when
     v >= q^T u (ties included), else 0.
     """
-    q = _nonnegative("queues", q)
+    q, v = _finite_array("queues", q), _real("v", v, 0.0)
     u = np.asarray(u, dtype=float)
     if not np.all(u > 0.0):
         raise ValueError("utopian rates must be positive")
@@ -86,7 +84,7 @@ def aux_maxmin(q, v: float, u) -> np.ndarray:
 
 def geometric_mean(values) -> float:
     """Geometric mean of finite nonnegative values; zero if any is zero."""
-    vals = _nonnegative("values", values)
+    vals = _finite_array("values", values)
     if np.any(vals == 0.0):
         return 0.0
     return float(np.exp(np.mean(np.log(vals))))
@@ -94,7 +92,7 @@ def geometric_mean(values) -> float:
 
 def utility_value(util: UtilitySpec, throughput, u) -> float:
     """Realized utility of a finite nonnegative throughput vector."""
-    thr = _nonnegative("throughput", throughput)
+    thr = _finite_array("throughput", throughput)
     if util.kind == "proportional":
         if np.any(thr <= 0.0):
             return -np.inf
@@ -107,7 +105,13 @@ def luva_solver(schedule: StepSchedule, x0: float = 0.01):
     the weight scale the schedule was trained on. FPLinQ is invariant to
     that scale, so fplinq_solver (fplinq_point_solver) takes raw queues."""
     solve = schedule_point_solver(schedule, x0=x0)
-    return lambda net, q: solve(net, q / q.max(-1, keepdims=True))
+
+    def luva(net, q):
+        top = q.max(-1, keepdims=True)
+        if top.min() > 0.0:  # else q / top divides by 0 or flips signs
+            return solve(net, q / top)
+        raise ValueError("queues need one positive entry per network")
+    return luva
 
 
 @dataclass
@@ -131,8 +135,8 @@ def dpp_run(net: NetworkInstance, solver, util: UtilitySpec,
     sum-rate allocation with the current queues as weights, (iii) queue
     update. Deterministic given the solver.
     """
-    if not 1 <= t_avg <= t_total:
-        raise ValueError("need 1 <= t_avg <= t_total")
+    if _count("t_avg", t_avg) > _count("t_total", t_total):
+        raise ValueError("t_avg must be at most t_total")
     k = net.k_links
     u = utopian_point(net)
     a_max = float(np.max(u))

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .netgen import NetworkInstance, _json_object
+from .netgen import NetworkInstance, _count, _finite_array, _json_object, _real
 from .rates import _solver_inputs
 
 __all__ = [
@@ -58,17 +58,12 @@ class StepSchedule:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.alpha1 = np.atleast_1d(np.asarray(self.alpha1, dtype=float))
-        self.alpha2 = np.atleast_1d(np.asarray(self.alpha2, dtype=float))
-        self.alpha3 = np.atleast_1d(np.asarray(self.alpha3, dtype=float))
-        n = self.alpha1.shape[0]
-        if self.alpha2.shape != (n,) or self.alpha3.shape != (n,):
-            raise ValueError("alpha arrays must share one length")
-        if n < 1:
-            raise ValueError("schedule needs at least one layer")
-        for arr in (self.alpha1, self.alpha2, self.alpha3):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("step sizes must be finite")
+        for name in ("alpha1", "alpha2", "alpha3"):
+            setattr(self, name, np.atleast_1d(
+                _finite_array(name, getattr(self, name), -np.inf)))
+        shapes = {a.shape for a in (self.alpha1, self.alpha2, self.alpha3)}
+        if len(shapes) != 1 or self.alpha1.ndim != 1:
+            raise ValueError("alpha arrays must be 1-D of one length")
 
     @property
     def n_layers(self) -> int:
@@ -90,12 +85,8 @@ class StepSchedule:
 
 def viva_defaults(n_layers: int, constant: float = 0.003) -> StepSchedule:
     """Untrained schedule: one constant for every step size of every layer."""
-    if n_layers < 1:
-        raise ValueError("n_layers must be >= 1")
-    c = float(constant)
-    if not np.isfinite(c):
-        raise ValueError("constant must be finite")
-    ones = np.ones(n_layers)
+    ones = np.ones(_count("n_layers", n_layers))
+    c = _real("constant", constant)
     return StepSchedule(c * ones, c * ones, c * ones,
                         metadata={"kind": "constant", "constant": c})
 
@@ -172,9 +163,7 @@ def run(net: NetworkInstance, w, schedule: StepSchedule,
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    x0 = float(x0)
-    if not 0.0 <= x0 <= 1.0:
-        raise ValueError("x0 must lie in [0, 1]")
+    x0 = _real("x0", x0, 0.0, 1.0)
     normalized = mode == "normalized"
     if not isinstance(net, NetworkInstance) and keep_trace:
         raise ValueError("a block keeps no trace; pass keep_trace=False")
@@ -235,6 +224,6 @@ def load_schedule(path) -> StepSchedule:
     doc = _json_object(path, "n_layers", "alpha1", "alpha2", "alpha3")
     sched = StepSchedule(doc["alpha1"], doc["alpha2"], doc["alpha3"],
                          metadata=doc.get("metadata", {}))
-    if sched.n_layers != int(doc["n_layers"]):
-        raise ValueError("n_layers does not match alpha arrays")
+    if sched.n_layers != _count(f"{path}: n_layers", doc["n_layers"]):
+        raise ValueError(f"{path}: n_layers must match the alpha arrays")
     return sched

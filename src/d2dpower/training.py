@@ -25,7 +25,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import netgen
-from .netgen import NetworkInstance, SystemParams
+from .netgen import NetworkInstance, SystemParams, _count, _real
 from .rates import _form
 from .solver import (StepSchedule, _matvec, _unrolled_forward, _vecmat,
                      viva_defaults)
@@ -68,16 +68,13 @@ class TrainConfig:
     stop_window: int = 500
 
     def __post_init__(self):
-        if self.n_layers < 1 or self.n_train < 1 or self.max_iter < 1:
-            raise ValueError("n_layers, n_train, max_iter must be >= 1")
-        if not (np.isfinite(self.base_rate) and self.base_rate > 0.0):
-            raise ValueError("base_rate must be finite and positive")
-        if not 0.0 <= self.x0 <= 1.0:
-            raise ValueError("x0 must lie in [0, 1]")
+        for name in ("n_layers", "n_train", "max_iter", "validation_size",
+                     "val_every", "stop_window"):
+            _count(name, getattr(self, name))
+        _real("base_rate", self.base_rate, 0.0, strict=True)
+        _real("x0", self.x0, 0.0, 1.0)
         if self.weight_dist not in WEIGHT_DISTS:
             raise ValueError(f"weight_dist must be one of {WEIGHT_DISTS}")
-        if self.validation_size < 1 or self.val_every < 1:
-            raise ValueError("validation_size and val_every must be >= 1")
 
 
 @dataclass
@@ -183,8 +180,8 @@ def grad_schedule(net: NetworkInstance, w, schedule: StepSchedule,
     alpha1/alpha3 of the cutoff layer cannot influence the loss, so their
     entries vanish identically.
     """
-    if not 1 <= layer_cutoff <= schedule.n_layers:
-        raise ValueError("layer_cutoff must be in [1, n_layers]")
+    if _count("layer_cutoff", layer_cutoff) > schedule.n_layers:
+        raise ValueError("layer_cutoff must be at most n_layers")
     _, grad = _loss_and_grad(_form(net.gain[None], net.noise_power),
                              net.noise_power, np.asarray(w, float)[None],
                              schedule.to_vector(), layer_cutoff, x0)

@@ -256,6 +256,9 @@ BAD_INPUTS = {
         ["fplinq", "--layout", "{tmp}/noise_null.json"], "noise_power"),
     "generate-negative-count": (
         ["generate", "--count", "-1", "--out", "{tmp}/nets"], "--count"),
+    "schedule-n-layers-null": (
+        ["evaluate", "--params-file", "{tmp}/n_layers_null.json",
+         "--out", "{tmp}/r.csv"], "n_layers"),
 }
 
 
@@ -267,6 +270,9 @@ def _malformed_files(tmp_path, layout) -> None:
     (tmp_path / "abc.json").write_text('{"bandwidth_hz": "abc"}')
     (tmp_path / "silent.json").write_text('{"tx_power_dbm": -3300}')
     (tmp_path / "loud.json").write_text('{"tx_power_dbm": 3300}')
+    (tmp_path / "n_layers_null.json").write_text(json.dumps(
+        {"n_layers": None, "alpha1": [0.1], "alpha2": [0.1],
+         "alpha3": [0.1]}))
     doc = json.loads(layout.read_text())
     for name, key, value in (("params_list", "params", [1]),
                              ("params_foo", "params", {"foo": 1}),
@@ -304,12 +310,22 @@ def test_options_a_subcommand_does_not_read_are_rejected():
 
 
 def test_entry_point_exits_2_on_bad_input(tmp_path):
+    # a real process: numpy's warnings would reach stderr here, unlike in
+    # the in-process BAD_INPUTS cases
     path = filter(None, (str(SRC), os.environ.get("PYTHONPATH")))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    proc = subprocess.run(
-        [sys.executable, "-m", "d2dpower.cli", "generate", "--config",
-         str(_infinite_config(tmp_path)), "--out", str(tmp_path / "nets")],
-        env=env, capture_output=True, text=True)
-    assert proc.returncode == 2
-    assert proc.stderr.count("\n") == 1
-    assert "Traceback" not in proc.stderr
+    loud = tmp_path / "loud.json"  # every gain overflows to inf
+    loud.write_text('{"tx_power_dbm": 3300}')
+    train = ["train", "--layers", "1", "--max-iter", "1", "--n-train", "2",
+             "--validation-size", "2", "--out", str(tmp_path / "s.json")]
+    for argv in (["generate", "--config", str(_infinite_config(tmp_path)),
+                  "--out", str(tmp_path / "nets")],
+                 ["generate", "--config", str(loud),
+                  "--out", str(tmp_path / "nets")],
+                 [*train, "--config", str(loud)]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "d2dpower.cli", *argv],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -307,3 +307,7 @@ def test_layout_roundtrip(tmp_path):
     # stored flat row-major
     doc = json.loads(path.read_text())
     assert doc["gain"][1] == net.gain[0, 1]
+    # numpy scalars pass the checks and are written as JSON numbers
+    p3 = SystemParams(d_max_m=np.float32(40.0), area_side_m=np.int64(500))
+    netgen.save_layout(path, netgen.sample_layout(p3, 3, np.int64(1)), p3)
+    assert netgen.load_layout(path)[1] == p3

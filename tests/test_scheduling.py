@@ -176,6 +176,18 @@ def test_solver_callables_flag_normalization():
     assert fplinq_solver is benchmark.fplinq_point_solver
 
 
+@pytest.mark.filterwarnings("error")
+def test_luva_solver_rejects_queues_without_a_positive_entry():
+    # all-zero queues have no max to scale by; no 0 / 0 warning first
+    net = netgen.sample_layout(P, 3, seed=4)
+    solve = luva_solver(viva_defaults(2))
+    for q in (np.zeros(3), -np.ones(3)):
+        with pytest.raises(ValueError, match="queues"):
+            solve(net, q)
+    with pytest.raises(ValueError, match="queues"):
+        solve([net, net], np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0]]))
+
+
 def test_dpp_run_shapes_and_bookkeeping():
     net = netgen.sample_layout(P, 4, seed=3)
     res = dpp_run(net, fplinq_solver(20), UtilitySpec("proportional", 10.0),
