@@ -17,7 +17,7 @@ import numpy as np
 
 from . import netgen
 from .netgen import SystemParams, _finite_array
-from .rates import _Block, _sinr, _solver_inputs
+from .rates import _Block, _solver_inputs, rate_vector
 from .rates import weighted_sum_rate  # perfbench/tracing.py rebinds it
 from .solver import StepSchedule, run
 from .fplinq import fplinq
@@ -124,14 +124,14 @@ def evaluate(test_set, solver_a, solver_b=None) -> EvalReport:
     ratios = []
     skipped = 0
     for block, ws in _blocks(test_set):
-        (s, _, _), noise, ws = _solver_inputs(block, ws)
+        ws = _solver_inputs(block, ws)[2]
         wsr = []
         for solver in (solver_a, solver_b):
             x = np.asarray(solver(block, ws), dtype=float)
             if x.shape != ws.shape:
                 raise ValueError(f"solver returned shape {x.shape} for "
                                  f"weights of shape {ws.shape}")
-            wsr.append(np.sum(ws * np.log1p(_sinr(x, s, noise)), axis=-1))
+            wsr.append(np.sum(ws * rate_vector(x, block), axis=-1))
         ok = wsr[1] != 0.0
         skipped += int(np.count_nonzero(~ok))
         ratios.extend(wsr[0][ok] / wsr[1][ok])

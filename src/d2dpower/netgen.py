@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from contextlib import suppress
 from dataclasses import dataclass, asdict, fields, replace
 
 import numpy as np
@@ -95,11 +96,12 @@ def _real(name: str, value, low: float = -math.inf, high: float = math.inf,
           strict: bool = False) -> float:
     """value as a float; ValueError naming it unless a finite real in
     [low, high], or in (low, high] if strict. Bools are not numbers here."""
-    if (not isinstance(value, bool)
-            and isinstance(value, (int, float, np.integer, np.floating))
-            and (low < value if strict else low <= value) and value <= high
-            and math.isfinite(value)):
-        return float(value)
+    with suppress(OverflowError):  # math.isfinite(10 ** 400) raises
+        if (not isinstance(value, bool)
+                and isinstance(value, (int, float, np.integer, np.floating))
+                and (low < value if strict else low <= value)
+                and value <= high and math.isfinite(value)):
+            return float(value)
     raise ValueError(f"{name} must be a finite number in "
                      f"{'(' if strict else '['}{low:g}, {high:g}]")
 
@@ -218,7 +220,7 @@ def gain_batch(params: SystemParams, k: int, count: int,
 
 def save_layout(path, net: NetworkInstance, params: SystemParams) -> None:
     """Write an instance to JSON (gain flattened row-major, linear mW)."""
-    doc = {
+    _write_json(path, {
         "seed": net.seed,
         "k": net.k_links,
         "params": asdict(params),
@@ -226,9 +228,14 @@ def save_layout(path, net: NetworkInstance, params: SystemParams) -> None:
         "rx_pos": net.rx_pos.tolist(),
         "gain": net.gain.reshape(-1).tolist(),
         "noise_power": net.noise_power,
-    }
+    })
+
+
+def _write_json(path, doc) -> None:
+    """doc as indented JSON and a newline, numpy scalars as Python numbers.
+    All of the package's JSON goes through here."""
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, default=np.generic.item)  # numpy scalars
+        json.dump(doc, fh, indent=1, default=np.generic.item)
         fh.write("\n")
 
 

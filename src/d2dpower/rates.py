@@ -3,7 +3,8 @@
 Rates are natural-log spectral efficiencies, R_i = ln(1 + SINR_i), so every
 step-size and utility constant downstream is in nats. Array helpers broadcast
 over leading batch dimensions and check nothing; the NetworkInstance wrappers
-are the single-network API. Every solve reads one checked form (_form).
+are the single-network API, and rate_vector also reads a block (_Block).
+Every solve reads one checked form (_form).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from .netgen import NetworkInstance, _finite_array
 __all__ = [
     "rate_vector",
     "rate_vector_logdiff",
-    "rate_and_jacobian",
     "weighted_sum_rate",
     "rate_jacobian",
     "utopian_point",
@@ -60,7 +60,8 @@ def _form(gain, noise):
     stacked_gain(gain) and the frame a = -u, r of the single-user rates
     u_i = ln(1 + gain_ii / noise); ValueError unless 0 < u_i < inf."""
     s = stacked_gain(gain)
-    u = np.log1p(s.diagonal(axis1=-2, axis2=-1) / noise)
+    with np.errstate(over="ignore"):  # an infinite u fails the check below
+        u = np.log1p(s.diagonal(axis1=-2, axis2=-1) / noise)
     if not 0.0 < u.min() <= u.max() < np.inf:  # False for any NaN
         raise ValueError("degenerate network: single-user rate 0 or inf")
     # sqrt of a .sum gives np.linalg.norm's bits at less call overhead
@@ -110,8 +111,9 @@ def _solver_inputs(net, w):
 
 # NetworkInstance wrappers.
 
-def rate_vector(x, net: NetworkInstance) -> np.ndarray:
-    """Per-link rates ln(1 + SINR_i) in nats."""
+def rate_vector(x, net: NetworkInstance | _Block) -> np.ndarray:
+    """Per-link rates ln(1 + SINR_i) in nats, of one network, x (K,), or of
+    a _Block, x (B, K), from the S of its _form."""
     return np.log1p(_sinr(x, _prepared(net)[0], net.noise_power))
 
 
@@ -119,10 +121,10 @@ def rate_vector_logdiff(x, net: NetworkInstance) -> np.ndarray:
     """Rates as ln(total_i) - ln(interf_i), total and interference from
     one stacked matvec. Mathematically equal to rate_vector; agreement at
     float64 scale is a correctness check for both routes."""
-    return rate_and_jacobian(x, net)[0]
+    return _rate_and_jacobian(x, net)[0]
 
 
-def rate_and_jacobian(x, net: NetworkInstance):
+def _rate_and_jacobian(x, net: NetworkInstance):
     """(rates, Jacobian dR_i/dx_j) from one stacked matvec P = noise + S x
     (stacked_gain). Jacobian row i is gain row i over total_i minus the
     interference row over interf_i, so diagonals are nonnegative and
@@ -140,7 +142,7 @@ def weighted_sum_rate(x, w, net: NetworkInstance) -> float:
 
 
 def rate_jacobian(x, net: NetworkInstance) -> np.ndarray:
-    return rate_and_jacobian(x, net)[1]
+    return _rate_and_jacobian(x, net)[1]
 
 
 def utopian_point(net: NetworkInstance) -> np.ndarray:

@@ -8,8 +8,8 @@ Each layer does one gradient step on (t, x) and one on the multiplier:
     x    <- clip(x + (a2 / |g|) lam g, 0, 1),   g = J(x)^T w
     lam  <- max(0, lam - a3 w^T(a + t r + R(x)))
 
-using the fresh t and x in the multiplier step. "normalized" mode applies
-the |g| divisor and the projection lam >= 0; "plain" mode drops both and is
+using the fresh t and x in the multiplier step. "plain" mode is the
+"normalized" step with |g| taken as 1 and without the projection lam >= 0,
 kept for oscillation studies. A fixed per-layer step-size schedule makes the
 solver a deterministic unrolled network; schedules can be the untrained
 constant default or learned offline.
@@ -26,13 +26,13 @@ a block from its construction, so later solves check only w.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .netgen import NetworkInstance, _count, _finite_array, _json_object, _real
+from .netgen import (NetworkInstance, _count, _finite_array, _json_object,
+                     _real, _write_json)
 from .rates import _solver_inputs
 
 __all__ = [
@@ -186,12 +186,9 @@ def run(net: NetworkInstance, w, schedule: StepSchedule,
                                          schedule.alpha3.tolist())):
         t = t - a1 * (1.0 - lam * r_dot_w)
         g = (w_pm / p).dot(s)
-        if not normalized:
-            x = (x + a2 * lam * g).clip(0.0, 1.0)
-        else:
-            norm_g = math.sqrt(g.dot(g))
-            if norm_g > 0.0:  # else zero gradient: skip the x update
-                x = (x + (a2 / norm_g) * lam * g).clip(0.0, 1.0)
+        norm_g = math.sqrt(g.dot(g)) if normalized else 1.0
+        if norm_g > 0.0:  # else zero gradient: skip the x update
+            x = (x + (a2 / norm_g) * lam * g).clip(0.0, 1.0)
         p = noise + s.dot(x)
         wsr = float(w_pm.dot(np.log(p)))
         lam = lam - a3 * (a_dot_w + t * r_dot_w + wsr)
@@ -208,16 +205,13 @@ def run(net: NetworkInstance, w, schedule: StepSchedule,
 
 
 def save_schedule(path, schedule: StepSchedule) -> None:
-    doc = {
+    _write_json(path, {
         "n_layers": schedule.n_layers,
         "alpha1": schedule.alpha1.tolist(),
         "alpha2": schedule.alpha2.tolist(),
         "alpha3": schedule.alpha3.tolist(),
         "metadata": schedule.metadata,
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    })
 
 
 def load_schedule(path) -> StepSchedule:

@@ -147,11 +147,6 @@ def _loss_and_grad(form, noise, w, vec, kcut, x0):
     return loss_val, np.concatenate([ga1, ga2, ga3])
 
 
-def _mean_val_wsr(form, noise, w, vec, kcut, x0) -> float:
-    return float(_unrolled_forward(form, noise, w, *np.split(vec, 3), kcut,
-                                   x0, want_tape=False)[3].mean())
-
-
 def _active_indices(n: int, layer: int, param_set: str) -> np.ndarray:
     """Flat indices trained for 1-indexed `layer`.
 
@@ -278,8 +273,9 @@ def train_layerwise(config: TrainConfig,
                 sub, adam = adam_step(vec[active], grad[active], adam, rate)
                 vec[active] = sub
                 if it % config.val_every == 0 or it == config.max_iter:
-                    val = _mean_val_wsr(val_form, noise, val_w, vec, layer,
-                                        config.x0)
+                    val = float(_unrolled_forward(
+                        val_form, noise, val_w, *np.split(vec, 3), layer,
+                        config.x0, want_tape=False)[3].mean())
                     history.append(HistoryRecord(
                         layer=layer, stage=f"L{layer}.{stage_name}",
                         iteration=it, val_mean_wsr=val))

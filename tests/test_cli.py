@@ -238,6 +238,9 @@ BAD_INPUTS = {
     "config-not-an-object": (
         ["generate", "--config", "{tmp}/list2.json", "--out", "{tmp}/nets"],
         "JSON object"),
+    "config-int-beyond-float": (
+        ["generate", "--config", "{tmp}/huge.json", "--out", "{tmp}/nets"],
+        "bandwidth_hz"),
     "layout-params-not-an-object": (
         ["fplinq", "--layout", "{tmp}/params_list.json"], "[1]: not an"),
     "layout-param-unknown": (
@@ -268,6 +271,7 @@ def _malformed_files(tmp_path, layout) -> None:
     (tmp_path / "list1.json").write_text("[1]")
     (tmp_path / "list2.json").write_text("[1, 2]")
     (tmp_path / "abc.json").write_text('{"bandwidth_hz": "abc"}')
+    (tmp_path / "huge.json").write_text('{"bandwidth_hz": 1%s}' % ("0" * 400))
     (tmp_path / "silent.json").write_text('{"tx_power_dbm": -3300}')
     (tmp_path / "loud.json").write_text('{"tx_power_dbm": 3300}')
     (tmp_path / "n_layers_null.json").write_text(json.dumps(
@@ -316,13 +320,18 @@ def test_entry_point_exits_2_on_bad_input(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     loud = tmp_path / "loud.json"  # every gain overflows to inf
     loud.write_text('{"tx_power_dbm": 3300}')
+    steep = tmp_path / "steep.json"  # gain / noise overflows to inf
+    steep.write_text(json.dumps(
+        {"k": 1, "params": {}, "tx_pos": [[0, 0]], "rx_pos": [[1, 1]],
+         "gain": [1e300], "noise_power": 1e-20}))
     train = ["train", "--layers", "1", "--max-iter", "1", "--n-train", "2",
              "--validation-size", "2", "--out", str(tmp_path / "s.json")]
     for argv in (["generate", "--config", str(_infinite_config(tmp_path)),
                   "--out", str(tmp_path / "nets")],
                  ["generate", "--config", str(loud),
                   "--out", str(tmp_path / "nets")],
-                 [*train, "--config", str(loud)]):
+                 [*train, "--config", str(loud)],
+                 ["fplinq", "--layout", str(steep)]):
         proc = subprocess.run(
             [sys.executable, "-m", "d2dpower.cli", *argv],
             env=env, capture_output=True, text=True)

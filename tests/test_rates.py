@@ -100,15 +100,6 @@ def test_jacobian_matches_central_differences():
     assert np.max(np.abs(j - fd)) / scale < 1e-7
 
 
-def test_rate_and_jacobian_consistent():
-    p = netgen.SystemParams()
-    net = netgen.sample_layout(p, 5, seed=44)
-    x = np.random.default_rng(44).uniform(size=5)
-    r, j = rates.rate_and_jacobian(x, net)
-    assert np.allclose(r, rates.rate_vector(x, net), rtol=1e-12)
-    assert np.array_equal(j, rates.rate_jacobian(x, net))
-
-
 def test_weighted_sum_rate_is_dot_product():
     net = toy_net(HAND_GAIN, noise=1.0)
     w = np.array([0.3, 1.2])

@@ -186,8 +186,11 @@ def test_normalized_step_size_is_gradient_free():
 
 
 def test_schedule_file_roundtrip(tmp_path):
+    # numpy scalars in metadata are written as Python numbers
     sched = StepSchedule(np.array([0.1, 0.2]), np.array([0.3, 0.4]),
-                         np.array([0.5, 0.6]), {"kind": "trained", "seed": 7})
+                         np.array([0.5, 0.6]),
+                         {"kind": "trained", "seed": 7,
+                          "k_links": np.int64(3), "x0": np.float32(0.25)})
     path = tmp_path / "sched.json"
     save_schedule(path, sched)
     back = load_schedule(path)

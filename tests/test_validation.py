@@ -54,6 +54,11 @@ TABLE = [
       for f in dataclasses.fields(SystemParams)],
     ("SystemParams", "d_min_m",
      lambda v, tmp: SystemParams(d_min_m=v, d_max_m=5.0), (5.0, 10.0)),
+    # ints beyond the float range, given by their exponent
+    ("SystemParams", "bandwidth_hz",
+     lambda v, tmp: SystemParams(bandwidth_hz=10 ** v), (400,)),
+    ("SystemParams", "tx_power_dbm",
+     lambda v, tmp: SystemParams(tx_power_dbm=-10 ** v), (400,)),
     ("NetworkInstance", "k_links",
      lambda v, tmp: _instance(k_links=v), COUNT + (0,)),
     ("NetworkInstance", "noise_power",
