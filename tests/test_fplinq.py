@@ -192,3 +192,57 @@ def test_invariant_to_weight_scale(k, seed, scale):
     w = np.random.default_rng(seed).uniform(0.05, 1.0, size=k)
     assert np.allclose(fplinq(net, scale * w), fplinq(net, w),
                        rtol=1e-12, atol=1e-13)
+
+
+def _dead(gain_off, noise):
+    # fp_iterate's threshold: below it x_j g_ij is under noise 2^-200
+    return noise * 2.0**-200 / gain_off.max()
+
+
+@pytest.mark.parametrize("b", [1, 3])
+def test_masked_update_is_bit_identical_to_allocating_one(b):
+    # K = 200 is above the gate, so the interference matvec reads x with
+    # its switched-off links zeroed; the oracle reads every link's x
+    p = netgen.SystemParams()
+    noise = netgen.noise_power_mw(p)
+    rng = np.random.default_rng((200, b))
+    gain = netgen.gain_batch(p, 200, b, rng)
+    w = rng.uniform(size=(b, 200))
+    gain_off = rates.offdiag(gain)
+    for x in (np.ones((b, 200)), rng.uniform(size=(b, 200))):
+        args = (x, w, gain, gain_off, noise)
+        before = [a.copy() for a in args[:4]]
+        oracle = _allocating_iterate(*args, 100)
+        assert np.array_equal(fp_iterate(*args, 100), oracle)
+        for a, a0 in zip(args, before):  # the caller's arrays are read only
+            assert np.array_equal(a, a0)
+        # some link went below the threshold, so the mask hid something
+        assert np.any(oracle < _dead(gain_off, noise))
+
+
+@pytest.mark.filterwarnings("error")
+def test_masked_gate_keeps_blocks_equal_to_single_solves():
+    p = netgen.SystemParams()
+    noise = netgen.noise_power_mw(p)
+    # (3, 200) has one block-wide threshold, each network alone its own;
+    # (64, 16) is masked as a block, each network alone is below the gate
+    for b, k in ((3, 200), (64, 16)):
+        rng = np.random.default_rng((b, k))
+        gain = netgen.gain_batch(p, k, b, rng)
+        w = rng.uniform(size=(b, k))
+        gain_off = rates.offdiag(gain)
+        block = fp_iterate(np.ones((b, k)), w, gain, gain_off, noise, 100)
+        for i in range(b):
+            one = fp_iterate(np.ones(k), w[i], gain[i], gain_off[i], noise,
+                             100)
+            assert np.array_equal(block[i], one)
+    # K = 1 meets the size bound but not K >= 16; K = 16 with no cross
+    # gains is masked with an infinite threshold. Neither may warn.
+    for b, k, cross in ((2**14, 1, 1.0), (64, 16, 0.0)):
+        rng = np.random.default_rng((b, k))
+        gain = netgen.gain_batch(p, k, b, rng)
+        gain_off = cross * rates.offdiag(gain)
+        gain = gain_off + gain * np.eye(k)
+        args = (np.ones((b, k)), rng.uniform(size=(b, k)), gain, gain_off,
+                noise, 30)
+        assert np.array_equal(fp_iterate(*args), _allocating_iterate(*args))
