@@ -103,6 +103,7 @@ class SolverTrace:
 
 # Batched unrolled forward. Shapes: form S (B,2K,K), u and r (B,K), w/x
 # (B,K), scalars t/lam (B,), powers P (B,2K). noise is a scalar. float64.
+# The zero-gradient masks (np.where) run only in layers where some |g| = 0.
 
 def _vecmat(v, mat):
     # (B,M) row vector times (B,M,K): out_j = sum_i v_i mat_ij
@@ -128,14 +129,18 @@ def _unrolled_forward(form, noise, w, a1, a2, a3, kcut, x0, want_tape: bool,
         g = _vecmat(w_pm / p, s)
         ng = np.sqrt((g * g).sum(-1))
         upd = ng > 0.0
-        safe = np.where(upd, ng, 1.0) if normalized else np.ones(b)
-        h = np.where(upd[:, None], g / safe[:, None], 0.0)
+        every = upd.all()
+        safe = (ng if every else np.where(upd, ng, 1.0)) if normalized \
+            else np.ones(b)
+        h = g / safe[:, None]
+        if not every:
+            h = np.where(upd[:, None], h, 0.0)
         t = t - a1[layer] * (1.0 - lam * c)
         v = x + a2[layer] * lam[:, None] * h
-        x_new = np.clip(v, 0.0, 1.0)
-        interior = (v > 0.0) & (v < 1.0)
+        x_new = v.clip(0.0, 1.0)
         p_new = noise + _matvec(s, x_new)
-        slack = a_dot_w + t * c + (w_pm * np.log(p_new)).sum(-1)
+        wsr = (w_pm * np.log(p_new)).sum(-1)
+        slack = a_dot_w + t * c + wsr
         mu = lam - a3[layer] * slack
         lam_new = np.maximum(mu, 0.0) if normalized else mu
         if check_finite and not all(
@@ -143,9 +148,11 @@ def _unrolled_forward(form, noise, w, a1, a2, a3, kcut, x0, want_tape: bool,
             raise FloatingPointError(
                 f"non-finite iterate at layer {layer + 1}")
         if want_tape:
-            tape.append((x, lam, p, safe, h, interior, slack, mu > 0.0, upd))
+            tape.append((x, lam, p, safe, h, (v > 0.0) & (v < 1.0), slack,
+                         mu > 0.0, upd))
         x, lam, p = x_new, lam_new, p_new
-    wsr = (w_pm * np.log(p)).sum(-1)
+    if kcut == 0:
+        wsr = (w_pm * np.log(p)).sum(-1)
     return x, lam, p, wsr, c, a_dot_w, tape
 
 

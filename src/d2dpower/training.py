@@ -4,14 +4,14 @@ The unrolled solver is differentiable in its 3N per-layer step sizes, so the
 schedule is trained by stochastic gradient descent on the negative weighted
 sum-rate of the layer output. Layer k is trained in three stages: its own
 parameter group {alpha1[k-1], alpha2[k], alpha3[k-1]} at the base rate, then
-all parameters of layers 1..k at two reduced rates. Gradients are computed by
-explicit reverse-mode differentiation through the unrolled updates, batched
-over training instances; clamp and projection kinks use subgradient zero at
-the boundary, one in the interior, and the gradient-norm divisor is
-differentiated through. Finite differences on the forward pass reproduce
-these gradients, which the test suite checks. Every drawn batch, the
-validation set and grad_schedule's network pass through rates._form, so a
-degenerate draw (a zero or infinite single-user rate) raises ValueError.
+all parameters of layers 1..k at two reduced rates. Gradients come from
+reverse-mode differentiation through the unrolled updates, batched over
+training instances, swept from the top down to the stage's lowest trained
+layer only. Clamp and projection kinks use subgradient zero at the boundary,
+one in the interior; the gradient-norm divisor is differentiated through.
+Finite differences on the forward pass reproduce these gradients (tested).
+Every drawn batch, the validation set and grad_schedule's network pass
+through rates._form; a single-user rate of 0 or inf raises ValueError.
 
 Nothing here depends on a deep-learning framework; the update rule is a
 from-scratch Adam.
@@ -100,11 +100,11 @@ def sample_weights(rng: np.random.Generator, count: int, k: int,
 # form from rates._form (S (B,2K,K), u and u/|u| (B,K)), w/x (B,K), scalars
 # t/lam (B,), powers P (B,2K). noise is a scalar. All float64.
 
-def _loss_and_grad(form, noise, w, vec, kcut, x0):
+def _loss_and_grad(form, noise, w, vec, kcut, x0, stop=0):
     """Batch-mean loss after kcut layers and its gradient in the flat
-    3N step-size vector. Entries the loss cannot reach are zero."""
-    n = vec.size // 3
-    a1, a2, a3 = vec[:n], vec[n:2 * n], vec[2 * n:]
+    3N step-size vector. The sweep stops at layer `stop` (from 0): entries
+    of the layers below it, and those the loss cannot reach, are zero."""
+    a1, a2, a3 = vec.reshape(3, -1).tolist()  # Python floats: cheaper
     b = w.shape[0]
     w_pm = np.concatenate((w, -w), axis=-1)
     x, lam, p, wsr, c, a_dot_w, tape = _unrolled_forward(
@@ -112,39 +112,38 @@ def _loss_and_grad(form, noise, w, vec, kcut, x0):
     loss_val = -float(wsr.mean())
     s = form[0]
 
-    g_final = _vecmat(w_pm / p, s)
-    xb = -g_final / b
-    tb = np.zeros(b)
-    lb = np.zeros(b)
-    ga1 = np.zeros(n)
-    ga2 = np.zeros(n)
-    ga3 = np.zeros(n)
-    g_next = g_final
+    g_next = _vecmat(w_pm / p, s)
+    xb = -g_next / b
+    tb, lb = np.zeros((2, b))
+    ga1, ga2, ga3 = grad = np.zeros((3, len(a1)))  # rows of grad
     for layer in range(kcut - 1, -1, -1):
         x_prev, lam_prev, p_prev, ng, h, interior, slack, pos, upd = \
             tape[layer]
         # multiplier step: lam_new = max(0, lam_prev - a3 s(t_new, x_new))
         mub = lb * pos
-        lb_prev = mub.copy()
         ga3[layer] = -(mub * slack).sum()
         sb = -mub * a3[layer]
         tb = tb + sb * c
         xb = xb + sb[:, None] * g_next
         # offset step: t_new = t_prev - a1 (1 - lam_prev c)
         ga1[layer] = -(tb * (1.0 - lam_prev * c)).sum()
-        lb_prev += tb * (a1[layer] * c)
         # power step: x_new = clip(x_prev + a2 lam_prev g/|g|, 0, 1)
-        vb = np.where(upd[:, None], xb * interior, xb)
+        every = upd.all()  # else zero-gradient rows keep xb, take no step
+        vb = xb * interior if every else \
+            np.where(upd[:, None], xb * interior, xb)
         dvh = (vb * h).sum(-1)
         ga2[layer] = (lam_prev * dvh).sum()
-        lb_prev += a2[layer] * dvh
-        coef = np.where(upd, a2[layer] * lam_prev / ng, 0.0)
+        if layer == stop:  # what follows feeds only the layers below
+            break
+        lb = mub + tb * (a1[layer] * c) + a2[layer] * dvh
+        coef = a2[layer] * lam_prev / ng
+        if not every:
+            coef = np.where(upd, coef, 0.0)
         gb = coef[:, None] * (vb - h * dvh[:, None])
         # curvature of the rate gradient at x_prev: -S^T diag(w_pm/P^2) S gb
         xb = vb - _vecmat(w_pm * _matvec(s, gb) / (p_prev * p_prev), s)
-        lb = lb_prev
         g_next = h * ng[:, None]  # J(x_prev)^T w, rebuilt from the tape
-    return loss_val, np.concatenate([ga1, ga2, ga3])
+    return loss_val, grad.reshape(-1)
 
 
 def _active_indices(n: int, layer: int, param_set: str) -> np.ndarray:
@@ -265,7 +264,8 @@ def train_layerwise(config: TrainConfig,
                 w_b = sample_weights(train_rng, config.n_train, k_links,
                                      config.weight_dist)
                 loss_val, grad = _loss_and_grad(
-                    _form(gain_b, noise), noise, w_b, vec, layer, config.x0)
+                    _form(gain_b, noise), noise, w_b, vec, layer, config.x0,
+                    active[0] % n)
                 if not np.isfinite(loss_val):
                     raise FloatingPointError(
                         f"non-finite training loss at layer {layer} "

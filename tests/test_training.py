@@ -125,6 +125,80 @@ def test_grad_matches_finite_differences():
         assert np.linalg.norm(g - fd) / denom < 1e-6
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("param_set", ["current_layer", "all"])
+@pytest.mark.parametrize("layer", [1, 2, 3, 6])
+def test_truncated_sweep_keeps_the_active_entries(layer, param_set, seed):
+    # the sweep from the top down to the lowest active layer runs the same
+    # operations in the same order as the full sweep
+    n = 6
+    rng = np.random.default_rng(seed)
+    gain = netgen.gain_batch(P, 5, 4, rng)
+    noise = netgen.noise_power_mw(P)
+    w = rng.uniform(size=(4, 5))
+    vec = rng.uniform(0.002, 0.02, size=3 * n)
+    active = training._active_indices(n, layer, param_set)
+    stop = active[0] % n
+    args = (_form(gain, noise), noise, w, vec, layer, 0.01)
+    loss, grad = training._loss_and_grad(*args)
+    loss_cut, grad_cut = training._loss_and_grad(*args, stop)
+    assert loss_cut == loss
+    assert np.array_equal(grad_cut[active], grad[active])
+    below = (np.arange(3 * n) % n) < stop
+    assert np.all(grad_cut[below] == 0.0)
+
+
+def test_truncated_training_equals_full_sweep_training(monkeypatch):
+    cfg = TrainConfig(n_layers=3, n_train=4, max_iter=6, validation_size=6,
+                      val_every=3, stop_window=7, seed=3)
+    sched, hist = train_layerwise(cfg, P, k_links=4)
+    full = training._loss_and_grad
+    monkeypatch.setattr(training, "_loss_and_grad",
+                        lambda *args: full(*args[:6]))  # stop = 0
+    sched_full, hist_full = train_layerwise(cfg, P, k_links=4)
+    assert np.array_equal(sched.to_vector(), sched_full.to_vector())
+    assert hist == hist_full
+
+
+def _zero_weight_row_batch():
+    nets = netgen.sample_instances(P, 4, 3, seed=71)
+    gain = np.stack([n.gain for n in nets])
+    w = np.random.default_rng(71).uniform(0.1, 1.0, size=(3, 4))
+    w[1] = 0.0  # g = 0 in every layer: row 1 takes the masked branch
+    return nets, gain, w, nets[0].noise_power
+
+
+def test_zero_gradient_row_keeps_the_other_rows_bits():
+    nets, gain, w, noise = _zero_weight_row_batch()
+    vec = viva_defaults(5).to_vector()
+    steps = np.split(vec, 3)
+    x, lam, _, wsr, _, _, _ = solver._unrolled_forward(
+        _form(gain, noise), noise, w, *steps, 5, 0.01, want_tape=False)
+    assert np.array_equal(x[1], np.full(4, 0.01))  # the zero row stays
+    for b in (0, 2):  # alone, every |g| > 0: the unmasked branch
+        one = solver._unrolled_forward(
+            _form(gain[b:b + 1], noise), noise, w[b:b + 1], *steps, 5, 0.01,
+            want_tape=False)
+        assert np.array_equal(x[b], one[0][0])
+        assert lam[b] == one[1][0] and wsr[b] == one[3][0]
+
+
+def test_zero_gradient_row_grad_matches_finite_differences():
+    _, gain, w, noise = _zero_weight_row_batch()
+    form = _form(gain, noise)
+    vec = viva_defaults(3).to_vector()
+    _, g = training._loss_and_grad(form, noise, w, vec, 3, 0.01)
+    h = 1e-6
+    fd = np.zeros(9)
+    for i in training._active_indices(3, 3, "all"):
+        e = np.zeros(9)
+        e[i] = h
+        fd[i] = (training._loss_and_grad(form, noise, w, vec + e, 3, 0.01)[0]
+                 - training._loss_and_grad(form, noise, w, vec - e, 3,
+                                           0.01)[0]) / (2.0 * h)
+    assert np.linalg.norm(g - fd) / np.linalg.norm(fd) < 1e-6
+
+
 def test_grad_batch_consistency():
     # the batched backward over b instances equals the mean of per-instance
     # gradients
