@@ -3,8 +3,8 @@
 Closed-form alternating updates with the auxiliary variables eliminated:
 O(K^2) each, never lowering the weighted sum-rate. fplinq() starts one
 network or a block at x = 1; fp_iterate() updates in place on unchecked
-arrays. Large calls hide links that are off from the interference matvec
-(rates._live): their subnormal products are slow and move no bit.
+arrays. From K >= 16 and 2^14 gains a call, links that are off skip the
+interference matvec: their subnormal products are slow and move no bit.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .netgen import NetworkInstance, _count
-from .rates import _live, _solver_inputs
+from .rates import _solver_inputs
 
 __all__ = ["fplinq", "fp_iterate"]
 
@@ -21,16 +21,21 @@ def fp_iterate(x, w, gain, gain_off, noise, iters: int):
     """Run `iters` closed-form updates on plain arrays; x, w and the gains
     are only read. Two matvecs of nonnegative terms each, which, unlike
     total - direct x, cannot cancel: interf = gain_off x and gain_off^T y^2.
-    interf reads x through rates._live; each link's own update reads true x.
+    Calls of K >= 16 and B K^2 >= 2^14 gains read x as 0 in interf below
+    dead = noise 2^-200 / max gain_off: such links are off, their products
+    subnormal and slow, and K of them stay under half an ulp of noise, so
+    interf + noise keeps its bits; each link's own update reads its true x.
     Seeded outputs follow the in-place update's last bits: keep its order.
     """
     w = np.asarray(w, dtype=float)
     direct = np.diagonal(gain, axis1=-2, axis2=-1).copy()  # not strided
     off_t = np.swapaxes(gain_off, -1, -2)
-    live = _live(gain_off, noise)
+    big = gain_off.shape[-1] >= 16 and gain_off.size >= 2**14
     with np.errstate(divide="ignore", invalid="ignore"):
+        dead = noise * 2.0**-200 / gain_off.max() if big else None
         for _ in range(iters):
-            interf = np.matmul(gain_off, live(x)[..., None])[..., 0]
+            live = x if dead is None else np.where(x < dead, 0.0, x)
+            interf = np.matmul(gain_off, live[..., None])[..., 0]
             interf += noise
             dx = direct * x
             boost = np.divide(dx, interf)  # w (1 + dx / interf) direct

@@ -38,24 +38,12 @@ def offdiag(gain: np.ndarray) -> np.ndarray:
     return stacked_gain(gain)[..., np.shape(gain)[-1]:, :]
 
 
-def _live(gain_off, noise):
-    """x -> the x that noise + gain_off x reads: 0 below dead = noise 2^-200 /
-    max gain_off, if K >= 16 and B K^2 >= 2^14. Such links are off, their
-    products slow subnormals; K of them are under half an ulp of noise."""
-    if gain_off.shape[-1] < 16 or gain_off.size < 2**14:
-        return lambda x: x
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dead = noise * 2.0**-200 / gain_off.max()
-    return lambda x: np.where(x < dead, 0.0, x)
-
-
 def _sinr(x, s, noise):
     """SINR_i from S = stacked_gain(gain) (..., 2K, K): its interference
     rows S[..., K:, :] serve in place of an offdiag copy."""
     k = s.shape[-1]
     x = np.asarray(x, dtype=float)
-    off = s[..., k:, :]
-    interf = noise + np.matmul(off, _live(off, noise)(x)[..., None])[..., 0]
+    interf = noise + np.matmul(s[..., k:, :], x[..., None])[..., 0]
     return np.diagonal(s, axis1=-2, axis2=-1) * x / interf
 
 

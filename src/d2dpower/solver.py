@@ -149,7 +149,7 @@ def _unrolled_forward(form, noise, w, a1, a2, a3, kcut, x0, want_tape: bool,
                 f"non-finite iterate at layer {layer + 1}")
         if want_tape:
             tape.append((x, lam, p, safe, h, (v > 0.0) & (v < 1.0), slack,
-                         mu > 0.0, upd))
+                         mu > 0.0))
         x, lam, p = x_new, lam_new, p_new
     if kcut == 0:
         wsr = (w_pm * np.log(p)).sum(-1)

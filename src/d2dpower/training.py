@@ -117,8 +117,7 @@ def _loss_and_grad(form, noise, w, vec, kcut, x0, stop=0):
     tb, lb = np.zeros((2, b))
     ga1, ga2, ga3 = grad = np.zeros((3, len(a1)))  # rows of grad
     for layer in range(kcut - 1, -1, -1):
-        x_prev, lam_prev, p_prev, ng, h, interior, slack, pos, upd = \
-            tape[layer]
+        x_prev, lam_prev, p_prev, ng, h, interior, slack, pos = tape[layer]
         # multiplier step: lam_new = max(0, lam_prev - a3 s(t_new, x_new))
         mub = lb * pos
         ga3[layer] = -(mub * slack).sum()
@@ -128,17 +127,14 @@ def _loss_and_grad(form, noise, w, vec, kcut, x0, stop=0):
         # offset step: t_new = t_prev - a1 (1 - lam_prev c)
         ga1[layer] = -(tb * (1.0 - lam_prev * c)).sum()
         # power step: x_new = clip(x_prev + a2 lam_prev g/|g|, 0, 1)
-        every = upd.all()  # else zero-gradient rows keep xb, take no step
-        vb = xb * interior if every else \
-            np.where(upd[:, None], xb * interior, xb)
+        # rows with |g| = 0 (all-zero weights) have zero adjoints: no masks
+        vb = xb * interior
         dvh = (vb * h).sum(-1)
         ga2[layer] = (lam_prev * dvh).sum()
         if layer == stop:  # what follows feeds only the layers below
             break
         lb = mub + tb * (a1[layer] * c) + a2[layer] * dvh
-        coef = a2[layer] * lam_prev / ng
-        if not every:
-            coef = np.where(upd, coef, 0.0)
+        coef = a2[layer] * lam_prev / ng  # the taped divisor: never 0
         gb = coef[:, None] * (vb - h * dvh[:, None])
         # curvature of the rate gradient at x_prev: -S^T diag(w_pm/P^2) S gb
         xb = vb - _vecmat(w_pm * _matvec(s, gb) / (p_prev * p_prev), s)

@@ -277,28 +277,3 @@ def test_prepared_path_equals_uncached_formulas(k):
             fp_iterate(np.ones(k), w, gain, rates.offdiag(gain), noise, 50))
         assert np.array_equal(rates.utopian_point(net),
                               np.log1p(np.diag(gain) / noise))
-
-
-def _unmasked_rates(x, gain, noise):
-    # rate_vector's formula with every link's x in the interference matvec
-    k = gain.shape[-1]
-    s = rates.stacked_gain(gain)
-    interf = noise + np.matmul(s[..., k:, :], x[..., None])[..., 0]
-    return np.log1p(np.diagonal(s, axis1=-2, axis2=-1) * x / interf)
-
-
-@pytest.mark.parametrize("b", [1, 3])
-def test_masked_rates_are_bit_identical_to_unmasked_ones(b):
-    # K = 200 is above the gate, so the interference matvec hides the links
-    # FPLinQ switched off; each link's own term, and so its rate, reads its
-    # true x, the switched-off links' rates included
-    nets = netgen.sample_instances(netgen.SystemParams(), 200, b, seed=b)
-    w = np.random.default_rng(b).uniform(size=(b, 200))
-    net = nets[0] if b == 1 else rates._Block(nets)
-    x = fplinq(net, w[0] if b == 1 else w)
-    gain = nets[0].gain if b == 1 else np.stack([n.gain for n in nets])
-    noise = nets[0].noise_power
-    assert np.array_equal(rates.rate_vector(x, net),
-                          _unmasked_rates(x, gain, noise))
-    dead = noise * 2.0**-200 / rates.offdiag(gain).max()
-    assert np.any(x < dead)  # so the mask hid something
