@@ -3,7 +3,7 @@
 Library layout:
 
 - netgen: random layouts, pathloss, gain matrices
-- rates: per-link rates, Jacobian, utopian point, input checks
+- rates: per-link rates, Jacobian, utopian point, solver protocol checks
 - solver: unrolled primal-dual solver with per-layer step schedules
 - fplinq: fractional-programming baseline
 - training: layer-wise learning of step-size schedules

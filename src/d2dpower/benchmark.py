@@ -4,7 +4,8 @@ The figure of merit is the ratio of a solver's weighted sum-rate to the
 baseline's on the same instance and weights; a ratio above 1 beats the
 baseline. Sweeps re-evaluate one trained schedule across network scales
 without retraining. Solvers follow one protocol, solver(net_or_block, w)
--> x, shared with the scheduler; evaluate hands them checked rates._Blocks.
+-> x, shared with the scheduler; evaluate hands them checked rates._Blocks
+and scores each x in [0, 1] with rates.weighted_sum_rate.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from itertools import groupby
 import numpy as np
 
 from . import netgen
-from .netgen import SystemParams, _finite_array
-from .rates import _Block, _solver_inputs, rate_vector
-from .rates import weighted_sum_rate  # perfbench/tracing.py rebinds it
+from .netgen import SystemParams, _count, _finite_array
+from .rates import _Block, _allocation, _solver_inputs, weighted_sum_rate
 from .solver import StepSchedule, run
 from .fplinq import fplinq
 from .training import sample_weights
@@ -52,13 +52,12 @@ def make_test_set(params: SystemParams, k: int, count: int, seed,
     """List of (instance, weights) pairs from one seeded stream.
 
     Geometry is drawn first, weights second, so the same seed always yields
-    the same pairs. seed may be an int or a tuple of ints.
+    the same pairs. seed is an int or a sequence of ints, numpy's included.
     """
     nets = netgen.sample_instances(params, k, count, seed)
-    rng = np.random.default_rng((seed, 0xA11) if isinstance(seed, int)
-                                else tuple(seed) + (0xA11,))
-    ws = sample_weights(rng, count, k, weight_dist)
-    return [(net, ws[i]) for i, net in enumerate(nets)]
+    # numpy reads [seed, 0xA11] as (seed, 0xA11), or (*seed, 0xA11)
+    rng = np.random.default_rng([seed, 0xA11])
+    return list(zip(nets, sample_weights(rng, count, k, weight_dist)))
 
 
 def fplinq_point_solver(iters: int = 100):
@@ -99,8 +98,7 @@ def cdf_points(values):
     """
     vals = _finite_array("values", values, -np.inf)
     uniq, counts = np.unique(vals, return_counts=True)
-    fractions = np.cumsum(counts) / vals.size
-    return uniq, fractions
+    return uniq, np.cumsum(counts) / vals.size
 
 
 def _blocks(test_set):
@@ -118,34 +116,26 @@ def evaluate(test_set, solver_a, solver_b=None) -> EvalReport:
     """Ratio of solver_a to solver_b (default: 100-iteration baseline) on
     every instance. Each solver runs once per block (see _blocks), as
     solver(nets, ws) with B networks and weights (B, K), returning powers
-    (B, K). Instances with a zero reference sum-rate are skipped, counted."""
+    (B, K) in [0, 1], else ValueError (rates._allocation). Instances with a
+    zero reference sum-rate are skipped, counted."""
     if solver_b is None:
         solver_b = fplinq_point_solver(100)
-    ratios = []
-    skipped = 0
+    ratios, skipped = [], 0
     for block, ws in _blocks(test_set):
         ws = _solver_inputs(block, ws)[2]
-        wsr = []
-        for solver in (solver_a, solver_b):
-            x = np.asarray(solver(block, ws), dtype=float)
-            if x.shape != ws.shape:
-                raise ValueError(f"solver returned shape {x.shape} for "
-                                 f"weights of shape {ws.shape}")
-            wsr.append(np.sum(ws * rate_vector(x, block), axis=-1))
-        ok = wsr[1] != 0.0
+        wsr_a, wsr_b = [weighted_sum_rate(_allocation(solver(block, ws), ws),
+                                          ws, block)
+                        for solver in (solver_a, solver_b)]
+        ok = wsr_b != 0.0
         skipped += int(np.count_nonzero(~ok))
-        ratios.extend(wsr[0][ok] / wsr[1][ok])
+        ratios.extend(wsr_a[ok] / wsr_b[ok])
     if not ratios:
         raise ValueError("every instance was skipped" if skipped
                          else "the test set is empty")
     arr = np.asarray(ratios)
-    return EvalReport(
-        ratios=arr,
-        mean=float(arr.mean()),
-        std=float(arr.std()),
-        frac_at_least_one=float(np.mean(arr >= 1.0)),
-        skipped=skipped,
-    )
+    return EvalReport(ratios=arr, mean=float(arr.mean()), std=float(arr.std()),
+                      frac_at_least_one=float(np.mean(arr >= 1.0)),
+                      skipped=skipped)
 
 
 @dataclass
@@ -161,8 +151,9 @@ class SweepPoint:
 
 def _point_config(axis: str, setting, base_params: SystemParams,
                   base_k: int) -> tuple[SystemParams, int]:
-    if axis == "k_fixed_area":
-        return base_params, int(setting)
+    if axis == "k_fixed_area":  # 10.0, as the CLI parses it, counts
+        k = int(setting) if float(setting).is_integer() else setting
+        return base_params, _count(axis, k)
     if axis == "k_fixed_density":
         # keep links per unit area constant; round half up
         side = float(setting)
@@ -173,10 +164,8 @@ def _point_config(axis: str, setting, base_params: SystemParams,
         return replace(base_params,
                        tx_power_dbm=base_params.tx_power_dbm
                        + float(setting)), base_k
-    if axis == "d_min":
-        return replace(base_params, d_min_m=float(setting)), base_k
-    if axis == "d_max":
-        return replace(base_params, d_max_m=float(setting)), base_k
+    if axis in ("d_min", "d_max"):
+        return replace(base_params, **{f"{axis}_m": float(setting)}), base_k
     raise ValueError(f"axis must be one of {SWEEP_AXES}")
 
 

@@ -1,10 +1,13 @@
-"""Per-link rates, their Jacobian, the utopian point, and input checks.
+"""Per-link rates, their Jacobian, the utopian point, and the checks at
+both ends of the solver protocol.
 
 Rates are natural-log spectral efficiencies, R_i = ln(1 + SINR_i), so every
 step-size and utility constant downstream is in nats. Array helpers broadcast
 over leading batch dimensions and check nothing; the NetworkInstance wrappers
-are the single-network API, and rate_vector also reads a block (_Block).
-Every solve reads one checked form (_form).
+are the single-network API, and rate_vector and weighted_sum_rate also read
+a block (_Block). Every solve reads one checked form (_form). In the one
+solver protocol, solver(net_or_block, w) -> x, the inputs pass
+_solver_inputs and the output x passes _allocation.
 """
 
 from __future__ import annotations
@@ -47,12 +50,8 @@ def _sinr(x, s, noise):
     return np.diagonal(s, axis1=-2, axis2=-1) * x / interf
 
 
-def sinr_array(x, gain, noise):
-    return _sinr(x, stacked_gain(gain), noise)
-
-
 def rate_array(x, gain, noise):
-    return np.log1p(sinr_array(x, gain, noise))
+    return np.log1p(_sinr(x, stacked_gain(gain), noise))
 
 
 def _form(gain, noise):
@@ -109,6 +108,16 @@ def _solver_inputs(net, w):
     return form, net.noise_power, w
 
 
+def _allocation(x, w) -> np.ndarray:
+    """A solver's output x as a float array; ValueError unless x has its
+    weights' shape and 0 <= x <= 1 (False for any NaN)."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != w.shape or not 0.0 <= x.min() <= x.max() <= 1.0:
+        raise ValueError(f"solver output must have shape {w.shape} and lie "
+                         f"in [0, 1]; got shape {x.shape}")
+    return x
+
+
 # NetworkInstance wrappers.
 
 def rate_vector(x, net: NetworkInstance | _Block) -> np.ndarray:
@@ -136,9 +145,9 @@ def _rate_and_jacobian(x, net: NetworkInstance):
     return np.log(p[:k]) - np.log(p[k:]), ratio[0] - ratio[1]
 
 
-def weighted_sum_rate(x, w, net: NetworkInstance) -> float:
-    w = np.asarray(w, dtype=float)
-    return float(w @ rate_vector(x, net))
+def weighted_sum_rate(x, w, net: NetworkInstance | _Block):
+    """sum_i w_i R_i of one network, x and w (K,), or of each in a _Block."""
+    return (np.asarray(w, dtype=float) * rate_vector(x, net)).sum(-1)
 
 
 def rate_jacobian(x, net: NetworkInstance) -> np.ndarray:

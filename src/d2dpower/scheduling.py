@@ -5,7 +5,8 @@ utility against queue backlogs (closed forms below), a weighted sum-rate
 power allocation with the queues as weights, and the queue update itself.
 Time-averaged rates then converge toward the utility-optimal operating point
 as the penalty weight V grows, at the price of larger queues. The per-slot
-solvers are evaluate's, solver(net, w) -> x (see benchmark).
+solvers are evaluate's, solver(net, w) -> x (see benchmark), and each
+slot's x passes the same output check (rates._allocation).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .benchmark import fplinq_point_solver as fplinq_solver
 from .benchmark import schedule_point_solver
 from .netgen import NetworkInstance, _count, _finite_array, _real
-from .rates import rate_vector, utopian_point
+from .rates import _allocation, rate_vector, utopian_point
 from .solver import StepSchedule
 from .solver import run  # perfbench/tracing.py rebinds it
 from .fplinq import fplinq  # perfbench/tracing.py rebinds it
@@ -69,35 +70,35 @@ def aux_proportional(q, v: float, a_max: float) -> np.ndarray:
     return np.minimum(a_max, unclipped)
 
 
+def _utopian(u) -> np.ndarray:
+    """Utopian rates u as a float array; ValueError unless finite and > 0."""
+    if (u := _finite_array("u", u)).min() > 0.0:
+        return u
+    raise ValueError("u must be positive")
+
+
 def aux_maxmin(q, v: float, u) -> np.ndarray:
     """argmax_a in [0, max(u)]^K of v min_i(a_i / u_i) - q^T a.
 
     The optimum is bang-bang along a = m u for m in {0, 1}: m = 1 when
     v >= q^T u (ties included), else 0.
     """
-    q, v = _finite_array("queues", q), _real("v", v, 0.0)
-    u = np.asarray(u, dtype=float)
-    if not np.all(u > 0.0):
-        raise ValueError("utopian rates must be positive")
+    q, v, u = _finite_array("queues", q), _real("v", v, 0.0), _utopian(u)
     return u.copy() if v >= float(q @ u) else np.zeros_like(u)
 
 
 def geometric_mean(values) -> float:
     """Geometric mean of finite nonnegative values; zero if any is zero."""
     vals = _finite_array("values", values)
-    if np.any(vals == 0.0):
-        return 0.0
-    return float(np.exp(np.mean(np.log(vals))))
+    return float(np.exp(np.mean(np.log(vals)))) if vals.min() > 0.0 else 0.0
 
 
 def utility_value(util: UtilitySpec, throughput, u) -> float:
     """Realized utility of a finite nonnegative throughput vector."""
-    thr = _finite_array("throughput", throughput)
-    if util.kind == "proportional":
-        if np.any(thr <= 0.0):
-            return -np.inf
-        return float(np.sum(np.log(thr)))
-    return float(np.min(thr / np.asarray(u, dtype=float)))
+    thr, u = _finite_array("throughput", throughput), _utopian(u)
+    if util.kind == "maxmin":
+        return float(np.min(thr / u))
+    return float(np.sum(np.log(thr))) if thr.min() > 0.0 else -np.inf
 
 
 def luva_solver(schedule: StepSchedule, x0: float = 0.01):
@@ -107,10 +108,13 @@ def luva_solver(schedule: StepSchedule, x0: float = 0.01):
     solve = schedule_point_solver(schedule, x0=x0)
 
     def luva(net, q):
+        q = np.asarray(q, dtype=float)
         top = q.max(-1, keepdims=True)
-        if top.min() > 0.0:  # else q / top divides by 0 or flips signs
+        # else q / top divides by 0 or inf, or flips signs
+        if 0.0 < top.min() <= top.max() < np.inf:
             return solve(net, q / top)
-        raise ValueError("queues need one positive entry per network")
+        raise ValueError("queues must be finite, with one positive entry "
+                         "per network")
     return luva
 
 
@@ -141,18 +145,14 @@ def dpp_run(net: NetworkInstance, solver, util: UtilitySpec,
     u = utopian_point(net)
     a_max = float(np.max(u))
 
-    q = np.ones(k)
-    q_trace = np.empty((t_total + 1, k))
-    q_trace[0] = q
-    rate_trace = np.empty((t_total, k))
+    q_trace, rate_trace = np.empty((t_total + 1, k)), np.empty((t_total, k))
+    q_trace[0] = q = np.ones(k)
 
     for t in range(t_total):
-        if util.kind == "proportional":
-            a = aux_proportional(q, util.v, a_max)
-        else:
-            a = aux_maxmin(q, util.v, u)
+        a = (aux_proportional(q, util.v, a_max) if util.kind == "proportional"
+             else aux_maxmin(q, util.v, u))
         if q.max() > 0.0:
-            r = rate_vector(solver(net, q), net)
+            r = rate_vector(_allocation(solver(net, q), q), net)
         else:
             r = np.zeros(k)  # all queues empty: nothing worth serving
         q = queue_update(q, r, a)

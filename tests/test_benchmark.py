@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import toy_net
-from d2dpower import benchmark, netgen, rates
+from d2dpower import benchmark, netgen, rates, training
 from d2dpower.benchmark import (cdf_points, evaluate,
                                 fplinq_point_solver, make_test_set,
                                 report_to_csv, schedule_point_solver,
@@ -56,6 +56,29 @@ def test_make_test_set_deterministic():
     assert np.array_equal(ones[0][1], np.ones(5))
     # same geometry stream regardless of the weight draw
     assert np.array_equal(ones[0][0].gain, a[0][0].gain)
+
+
+def test_make_test_set_takes_every_seed_sample_instances_takes():
+    # oracle: weights drawn from the entropy (seed, 0xA11) for an int seed
+    # and tuple(seed) + (0xA11,) for a tuple
+    def weights(seed):
+        return np.array([w for _, w in make_test_set(P, 5, 3, seed)])
+
+    def expected_weights(seed):
+        rng = np.random.default_rng((seed, 0xA11) if isinstance(seed, int)
+                                    else tuple(seed) + (0xA11,))
+        return training.sample_weights(rng, 3, 5, "uniform01")
+
+    for seed in (0, 3, 2**40, (3,), (3, 1), (2**33, 0)):
+        assert np.array_equal(weights(seed), expected_weights(seed))
+    # numpy integers, alone or in a sequence, give the same pairs as ints
+    for seed, same in ((np.int64(3), 3), (np.uint8(3), 3),
+                       ((np.int64(3), np.int32(1)), (3, 1)),
+                       (np.array([3, 1]), (3, 1)), ([3, 1], (3, 1))):
+        for (na, wa), (nb, wb) in zip(make_test_set(P, 5, 3, seed),
+                                      make_test_set(P, 5, 3, same)):
+            assert np.array_equal(na.gain, nb.gain)
+            assert np.array_equal(wa, wb)
 
 
 def test_evaluate_self_ratio_is_one():

@@ -259,6 +259,10 @@ BAD_INPUTS = {
         ["fplinq", "--layout", "{tmp}/noise_null.json"], "noise_power"),
     "generate-negative-count": (
         ["generate", "--count", "-1", "--out", "{tmp}/nets"], "--count"),
+    "sweep-non-integral-k": (
+        ["sweep", "--params-file", "{sched}", "--axis", "k_fixed_area",
+         "--grid", "10.7", "--count", "1", "--out", "{tmp}/s.csv"],
+        "k_fixed_area"),
     "schedule-n-layers-null": (
         ["evaluate", "--params-file", "{tmp}/n_layers_null.json",
          "--out", "{tmp}/r.csv"], "n_layers"),

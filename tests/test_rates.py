@@ -17,17 +17,18 @@ HAND_X = np.array([1.0, 0.5])
 
 
 def test_sinr_hand_case():
+    # rate_array on the raw gains: both SINRs 1.6, so both rates ln(2.6)
     net = toy_net(HAND_GAIN, noise=1.0)
-    s = rates.sinr_array(HAND_X, net.gain, net.noise_power)
-    assert s.shape == (2,)
-    assert s == pytest.approx([1.6, 1.6], rel=1e-15)
-    # a block of networks gives one SINR vector per network
-    sb = rates.sinr_array(np.stack([HAND_X, 2 * HAND_X]),
+    r = rates.rate_array(HAND_X, net.gain, net.noise_power)
+    assert r.shape == (2,)
+    assert r == pytest.approx([np.log(2.6)] * 2, rel=1e-15)
+    # a block of networks gives one rate vector per network
+    rb = rates.rate_array(np.stack([HAND_X, 2 * HAND_X]),
                           np.stack([HAND_GAIN, HAND_GAIN]), 1.0)
-    assert sb.shape == (2, 2)
-    assert sb[0] == pytest.approx([1.6, 1.6], rel=1e-15)
+    assert rb.shape == (2, 2)
+    assert rb[0] == pytest.approx([np.log(2.6)] * 2, rel=1e-15)
     # doubled powers: SINR_1 = 4/(1 + 0.5) = SINR_2 = 8/3
-    assert sb[1] == pytest.approx([8 / 3, 8 / 3], rel=1e-15)
+    assert rb[1] == pytest.approx([np.log(1 + 8 / 3)] * 2, rel=1e-15)
 
 
 def test_rate_hand_case():
@@ -105,6 +106,21 @@ def test_weighted_sum_rate_is_dot_product():
     w = np.array([0.3, 1.2])
     assert rates.weighted_sum_rate(HAND_X, w, net) == pytest.approx(
         float(w @ rates.rate_vector(HAND_X, net)), rel=1e-15)
+
+
+def test_weighted_sum_rate_of_a_block_matches_the_sum_oracle():
+    nets = netgen.sample_instances(netgen.SystemParams(), 6, 5, seed=9)
+    block = rates._Block(nets)
+    rng = np.random.default_rng(9)
+    x, ws = rng.uniform(size=(2, 5, 6))
+    got = rates.weighted_sum_rate(x, ws, block)
+    # oracle: the weighted rates summed over links by np.sum
+    assert np.array_equal(got, np.sum(ws * rates.rate_vector(x, block),
+                                      axis=-1))
+    assert got.shape == (5,)
+    for b, net in enumerate(nets):
+        assert got[b] == pytest.approx(
+            rates.weighted_sum_rate(x[b], ws[b], net), rel=1e-15)
 
 
 def test_weighted_rate_gradient_matches_jacobian():

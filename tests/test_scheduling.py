@@ -174,6 +174,10 @@ def test_solver_callables_flag_normalization():
         luva_solver(sched)(nets, qs),
         run(nets, np.stack([q, q]) / q.max(), sched, keep_trace=False)[0])
     assert fplinq_solver is benchmark.fplinq_point_solver
+    # every protocol solver takes array-like weights: here, lists
+    for solve in (luva_solver(sched), fplinq_solver(10)):
+        assert np.array_equal(solve(net, q.tolist()), solve(net, q))
+        assert np.array_equal(solve(nets, qs.tolist()), solve(nets, qs))
 
 
 @pytest.mark.filterwarnings("error")

@@ -113,10 +113,25 @@ TABLE = [
      (True, "a", NAN, INF, 0.0)),
     ("aux_maxmin", "v", lambda v, tmp: scheduling.aux_maxmin(W, v, W),
      (True, "a", NAN, -1.0)),
+    ("aux_maxmin", "u", lambda v, tmp: scheduling.aux_maxmin(W, 1.0, v),
+     ([1.0, 0.0, 1.0], [1.0, NAN, 1.0], [1.0, INF, 1.0], [-1.0] * 3, [])),
+    *[("utility_value", "u",
+       lambda v, tmp, kind=kind: scheduling.utility_value(
+           scheduling.UtilitySpec(kind, 1.0), W, v),
+       ([1.0, 0.0, 1.0], [1.0, NAN, 1.0], [1.0, INF, 1.0], [-1.0] * 3, []))
+      for kind in scheduling.UTILITIES],
+    ("luva_solver", "queues",
+     lambda v, tmp: scheduling.luva_solver(solver.viva_defaults(2))(NET, v),
+     ([0.0] * 3, [-1.0] * 3, [NAN, 1.0, 1.0], [INF, 1.0, 1.0])),
     ("dpp_run", "t_total", lambda v, tmp: _dpp(t_total=v), COUNT + (0,)),
     ("dpp_run", "t_avg", lambda v, tmp: _dpp(t_avg=v), COUNT + (0, 5)),
     ("cdf_points", "values", lambda v, tmp: benchmark.cdf_points(v),
      ([NAN, 1.0], [-INF], [])),
+    ("sweep_generalization", "k_fixed_area",
+     lambda v, tmp: benchmark.sweep_generalization(
+         solver.viva_defaults(2), "k_fixed_area", [v], SystemParams(), 3,
+         count=1),
+     (5.7, 10.7, NAN, INF, 0.0, -2.0)),
     ("generate", "--count",
      lambda v, tmp: cli.cmd_generate(SimpleNamespace(count=v)),
      COUNT + (0, -1)),
@@ -131,3 +146,44 @@ def test_malformed_input_raises_value_error_naming_it(name, call, bad,
                                                       tmp_path):
     with pytest.raises(ValueError, match=rf"(^|\s){re.escape(name)} must"):
         call(bad, tmp_path)
+
+
+def _constant_solver(value):
+    return lambda net, w: np.full(np.shape(w), value)
+
+
+# A solver's output x must have its weights' shape and lie in [0, 1]
+# (rates._allocation); both consumers of the protocol check it.
+BAD_OUTPUTS = {
+    "x=3": _constant_solver(3.0),
+    "x=-0.5": _constant_solver(-0.5),
+    "x=nan": _constant_solver(NAN),
+    "wrong-shape": lambda net, w: np.full(np.shape(w)[-1] + 1, 0.5),
+    "one-link-above-1": lambda net, w: np.where(
+        np.arange(np.shape(w)[-1]) == 1, 1.0 + 1e-12, 0.5),
+}
+CONSUMERS = {
+    "evaluate": lambda solve: benchmark.evaluate(
+        benchmark.make_test_set(SystemParams(), 3, 4, 0), solve),
+    "evaluate-reference": lambda solve: benchmark.evaluate(
+        benchmark.make_test_set(SystemParams(), 3, 4, 0),
+        benchmark.fplinq_point_solver(5), solve),
+    "dpp_run": lambda solve: scheduling.dpp_run(
+        NET, solve, scheduling.UtilitySpec("proportional", 10.0),
+        t_total=4, t_avg=2),
+}
+
+
+@pytest.mark.parametrize("consumer", CONSUMERS)
+@pytest.mark.parametrize("output", BAD_OUTPUTS)
+def test_bad_solver_output_raises_value_error(consumer, output):
+    with pytest.raises(ValueError, match="solver output must"):
+        CONSUMERS[consumer](BAD_OUTPUTS[output])
+
+
+@pytest.mark.parametrize("consumer", CONSUMERS)
+def test_library_solvers_pass_the_output_check(consumer):
+    for solve in (benchmark.fplinq_point_solver(5),
+                  benchmark.schedule_point_solver(solver.viva_defaults(3)),
+                  scheduling.luva_solver(solver.viva_defaults(3))):
+        CONSUMERS[consumer](solve)
