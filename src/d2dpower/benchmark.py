@@ -17,7 +17,7 @@ from itertools import groupby
 import numpy as np
 
 from . import netgen
-from .netgen import SystemParams, _count, _finite_array
+from .netgen import SystemParams, _count, _finite_array, _real
 from .rates import _Block, _allocation, _solver_inputs, weighted_sum_rate
 from .solver import StepSchedule, run
 from .fplinq import fplinq
@@ -151,22 +151,21 @@ class SweepPoint:
 
 def _point_config(axis: str, setting, base_params: SystemParams,
                   base_k: int) -> tuple[SystemParams, int]:
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"axis must be one of {SWEEP_AXES}")
+    setting = _real(axis, setting)
     if axis == "k_fixed_area":  # 10.0, as the CLI parses it, counts
-        k = int(setting) if float(setting).is_integer() else setting
+        k = int(setting) if setting.is_integer() else setting
         return base_params, _count(axis, k)
     if axis == "k_fixed_density":
         # keep links per unit area constant; round half up
-        side = float(setting)
-        scale = (side / base_params.area_side_m) ** 2
+        scale = (setting / base_params.area_side_m) ** 2
         k = int(np.floor(base_k * scale + 0.5))
-        return replace(base_params, area_side_m=side), max(1, k)
+        return replace(base_params, area_side_m=setting), max(1, k)
     if axis == "snr_offset":
-        return replace(base_params,
-                       tx_power_dbm=base_params.tx_power_dbm
-                       + float(setting)), base_k
-    if axis in ("d_min", "d_max"):
-        return replace(base_params, **{f"{axis}_m": float(setting)}), base_k
-    raise ValueError(f"axis must be one of {SWEEP_AXES}")
+        return replace(base_params, tx_power_dbm=base_params.tx_power_dbm
+                       + setting), base_k
+    return replace(base_params, **{f"{axis}_m": setting}), base_k
 
 
 def sweep_generalization(schedule: StepSchedule, axis: str, grid,

@@ -7,15 +7,15 @@ Link gains follow a LoS street-canyon median pathloss with a single breakpoint
 linear milliwatts. Gains are computed from squared distances in closed form;
 `pathloss_db` is their dB reference. sample_instances checks a draw once.
 
-Every public entry checks its inputs with the private _count, _real and
-_finite_array below; each raises ValueError naming the argument.
+Every public entry checks its inputs with the private _count (seeds too),
+_real (finite, in [low, high] or (low, high]) and _finite_array (nonempty,
+each entry as _real's) below; each raises ValueError naming the argument.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import sys
 from contextlib import suppress
 from dataclasses import dataclass, asdict, fields, replace
 
@@ -106,21 +106,25 @@ def _real(name: str, value, low: float = -math.inf, high: float = math.inf,
                      f"{'(' if strict else '['}{low:g}, {high:g}]")
 
 
-def _finite_array(name: str, values, low: float = 0.0) -> np.ndarray:
-    """values as a float array; ValueError naming it unless nonempty, all
-    finite and >= low (a comparison with NaN is False)."""
+def _finite_array(name: str, values, low: float = 0.0,
+                  high: float = math.inf, strict: bool = False) -> np.ndarray:
+    """values as a float array; ValueError naming it unless nonempty and
+    each entry passes _real's bounds: finite and in [low, high], or in
+    (low, high] if strict (a comparison with NaN is False)."""
     arr = np.asarray(values, dtype=float)
     if not arr.size:
         raise ValueError(f"{name} must not be empty")
-    if not max(low, -sys.float_info.max) <= arr.min() <= arr.max() < np.inf:
-        raise ValueError(f"{name} must be finite and >= {low:g}")
+    lo, hi = arr.min(), arr.max()
+    if not ((low < lo if strict else low <= lo) and hi <= high
+            and math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"{name} must be finite and in "
+                         f"{'(' if strict else '['}{low:g}, {high:g}]")
     return arr
 
 
 def _check_gain_noise(gain: np.ndarray, noise) -> None:
-    # all gains (of a matrix or a stack) finite and > 0; False for any NaN
-    if gain.size and not 0.0 < gain.min() <= gain.max() < np.inf:
-        raise ValueError("gains must be finite and strictly positive")
+    if gain.size:  # sample_instances allows count = 0: an empty stack
+        _finite_array("gains", gain, 0.0, strict=True)
     _real("noise_power", noise, 0.0, strict=True)
 
 
@@ -137,11 +141,9 @@ def pathloss_db(d_m, params: SystemParams):
     """Median LoS pathloss in dB at distance d_m (meters, scalar or array).
 
     20 dB/decade up to the breakpoint, 40 dB/decade beyond, continuous at
-    the breakpoint. Raises on non-positive distances.
+    the breakpoint. Raises unless d_m is nonempty, finite and positive.
     """
-    d = np.asarray(d_m, dtype=float)
-    if np.any(d <= 0.0) or not np.all(np.isfinite(d)):
-        raise ValueError("distances must be positive and finite")
+    d = _finite_array("d_m", d_m, 0.0, strict=True)
     r_bp, l_bp = _breakpoint(params)
     slope = 20.0 * np.log10(d / r_bp)
     pl = l_bp + 6.0 + slope + np.where(d > r_bp, slope, 0.0)
@@ -195,9 +197,13 @@ def sample_layout(params: SystemParams, k: int, seed: int) -> NetworkInstance:
 
 def sample_instances(params: SystemParams, k: int, count: int,
                      seed) -> list[NetworkInstance]:
-    """Sample a batch of instances from one seeded stream; their gains are
-    checked once, as one read-only stack that the instances view."""
+    """Sample a batch of instances from one seeded stream (seed: an int >= 0
+    or a nonempty tuple, list or 1-d array of them); their gains are checked
+    once, as one read-only stack that the instances view."""
     k, count = _count("k", k), _count("count", count, 0)
+    many = isinstance(seed, (tuple, list)) or np.ndim(seed) == 1
+    for part in seed if many and len(seed) else [seed]:
+        _count("seed", part, 0)
     rng = np.random.default_rng(seed)
     tx, rx = _geometry(params, k, rng, count=count)
     noise = noise_power_mw(params)

@@ -7,7 +7,7 @@ over leading batch dimensions and check nothing; the NetworkInstance wrappers
 are the single-network API, and rate_vector and weighted_sum_rate also read
 a block (_Block). Every solve reads one checked form (_form). In the one
 solver protocol, solver(net_or_block, w) -> x, the inputs pass
-_solver_inputs and the output x passes _allocation.
+_solver_inputs and x passes _allocation (_finite_array in [0, 1]).
 """
 
 from __future__ import annotations
@@ -109,12 +109,12 @@ def _solver_inputs(net, w):
 
 
 def _allocation(x, w) -> np.ndarray:
-    """A solver's output x as a float array; ValueError unless x has its
-    weights' shape and 0 <= x <= 1 (False for any NaN)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != w.shape or not 0.0 <= x.min() <= x.max() <= 1.0:
-        raise ValueError(f"solver output must have shape {w.shape} and lie "
-                         f"in [0, 1]; got shape {x.shape}")
+    """A solver's output x as a float array; ValueError unless x is finite
+    in [0, 1] and has its weights' shape."""
+    x = _finite_array("solver output", x, 0.0, 1.0)
+    if x.shape != w.shape:
+        raise ValueError(f"solver output must have shape {w.shape}, not "
+                         f"{x.shape}")
     return x
 
 

@@ -5,8 +5,8 @@ utility against queue backlogs (closed forms below), a weighted sum-rate
 power allocation with the queues as weights, and the queue update itself.
 Time-averaged rates then converge toward the utility-optimal operating point
 as the penalty weight V grows, at the price of larger queues. The per-slot
-solvers are evaluate's, solver(net, w) -> x (see benchmark), and each
-slot's x passes the same output check (rates._allocation).
+solvers are evaluate's, solver(net, w) -> x (see benchmark); x, queues,
+rates, arrivals and u (> 0) pass netgen's _finite_array (x in _allocation).
 """
 
 from __future__ import annotations
@@ -70,20 +70,14 @@ def aux_proportional(q, v: float, a_max: float) -> np.ndarray:
     return np.minimum(a_max, unclipped)
 
 
-def _utopian(u) -> np.ndarray:
-    """Utopian rates u as a float array; ValueError unless finite and > 0."""
-    if (u := _finite_array("u", u)).min() > 0.0:
-        return u
-    raise ValueError("u must be positive")
-
-
 def aux_maxmin(q, v: float, u) -> np.ndarray:
     """argmax_a in [0, max(u)]^K of v min_i(a_i / u_i) - q^T a.
 
     The optimum is bang-bang along a = m u for m in {0, 1}: m = 1 when
     v >= q^T u (ties included), else 0.
     """
-    q, v, u = _finite_array("queues", q), _real("v", v, 0.0), _utopian(u)
+    q, v = _finite_array("queues", q), _real("v", v, 0.0)
+    u = _finite_array("u", u, 0.0, strict=True)
     return u.copy() if v >= float(q @ u) else np.zeros_like(u)
 
 
@@ -95,7 +89,8 @@ def geometric_mean(values) -> float:
 
 def utility_value(util: UtilitySpec, throughput, u) -> float:
     """Realized utility of a finite nonnegative throughput vector."""
-    thr, u = _finite_array("throughput", throughput), _utopian(u)
+    thr = _finite_array("throughput", throughput)
+    u = _finite_array("u", u, 0.0, strict=True)
     if util.kind == "maxmin":
         return float(np.min(thr / u))
     return float(np.sum(np.log(thr))) if thr.min() > 0.0 else -np.inf

@@ -101,9 +101,9 @@ class SolverTrace:
     wsr: np.ndarray
 
 
-# Batched unrolled forward. Shapes: form S (B,2K,K), u and r (B,K), w/x
-# (B,K), scalars t/lam (B,), powers P (B,2K). noise is a scalar. float64.
-# The zero-gradient masks (np.where) run only in layers where some |g| = 0.
+# Batched unrolled forward of kcut >= 1 layers. Shapes: form S (B,2K,K),
+# u, r, w and x (B,K), t and lam (B,), powers P (B,2K), noise a scalar;
+# float64. Zero-gradient masks (np.where) run only where some |g| = 0.
 
 def _vecmat(v, mat):
     # (B,M) row vector times (B,M,K): out_j = sum_i v_i mat_ij
@@ -151,8 +151,6 @@ def _unrolled_forward(form, noise, w, a1, a2, a3, kcut, x0, want_tape: bool,
             tape.append((x, lam, p, safe, h, (v > 0.0) & (v < 1.0), slack,
                          mu > 0.0))
         x, lam, p = x_new, lam_new, p_new
-    if kcut == 0:
-        wsr = (w_pm * np.log(p)).sum(-1)
     return x, lam, p, wsr, c, a_dot_w, tape
 
 

@@ -71,6 +71,7 @@ class TrainConfig:
         for name in ("n_layers", "n_train", "max_iter", "validation_size",
                      "val_every", "stop_window"):
             _count(name, getattr(self, name))
+        _count("seed", self.seed, 0)
         _real("base_rate", self.base_rate, 0.0, strict=True)
         _real("x0", self.x0, 0.0, 1.0)
         if self.weight_dist not in WEIGHT_DISTS:

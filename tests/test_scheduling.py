@@ -209,6 +209,22 @@ def test_dpp_run_shapes_and_bookkeeping():
                 t_total=10, t_avg=11)
 
 
+def test_dpp_run_skips_the_solver_in_slots_with_empty_queues():
+    # one link, max-min with v = 0: arrivals u come only in slots whose
+    # queues are empty, and full power serves u, so the queues alternate
+    net = netgen.sample_layout(P, 1, seed=0)
+    (u,) = utopian_point(net)
+    seen = []
+
+    def solve(net, q):
+        seen.append(q.copy())
+        return fplinq_solver(5)(net, q)
+    res = dpp_run(net, solve, UtilitySpec("maxmin", 0.0), t_total=4, t_avg=2)
+    assert np.array_equal(res.q_trace[:, 0], [1.0, 0.0, u, 0.0, u])
+    assert np.array_equal(res.rate_trace[:, 0], [u, 0.0, u, 0.0])
+    assert [q.tolist() for q in seen] == [[1.0], [u]]
+
+
 def test_dpp_run_deterministic():
     net = netgen.sample_layout(P, 3, seed=8)
     util = UtilitySpec("proportional", 10.0)

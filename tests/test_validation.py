@@ -17,6 +17,7 @@ NAN, INF = float("nan"), float("inf")
 NET = netgen.sample_layout(SystemParams(), 3, seed=0)
 W = np.ones(3)
 COUNT = (True, 2.5, "3", None)  # malformed whatever the lower bound
+SEEDS = (None, True, -1, 2.5)
 
 
 def _instance(**kw):
@@ -63,12 +64,27 @@ TABLE = [
      lambda v, tmp: _instance(k_links=v), COUNT + (0,)),
     ("NetworkInstance", "noise_power",
      lambda v, tmp: _instance(noise_power=v), (True, "1", NAN, INF, 0.0)),
+    ("NetworkInstance", "gain",
+     lambda v, tmp: _instance(gain=np.asarray(v)),
+     ([[1.0, 1.0], [1.0, 1.0]],)),
+    ("NetworkInstance", "gains",
+     lambda v, tmp: _instance(gain=np.full((1, 1), v)), (NAN, INF, 0.0, -1.0)),
+    ("pathloss_db", "d_m",
+     lambda v, tmp: netgen.pathloss_db(v, SystemParams()),
+     (0.0, -1.0, NAN, INF, [])),
     ("sample_instances", "k",
      lambda v, tmp: netgen.sample_instances(SystemParams(), v, 1, 0),
      COUNT + (0,)),
     ("sample_instances", "count",
      lambda v, tmp: netgen.sample_instances(SystemParams(), 3, v, 0),
      COUNT + (-1,)),
+    ("sample_instances", "seed",
+     lambda v, tmp: netgen.sample_instances(SystemParams(), 3, 1, v),
+     SEEDS + ((), (0, -1), [0, 2.5], (True,), np.array([[1]]))),
+    ("sample_layout", "seed",
+     lambda v, tmp: netgen.sample_layout(SystemParams(), 3, v), SEEDS),
+    ("make_test_set", "seed",
+     lambda v, tmp: benchmark.make_test_set(SystemParams(), 3, 1, v), SEEDS),
     ("load_layout", "k", lambda v, tmp: _layout(tmp, "k", v), COUNT + (0,)),
     ("load_layout", "noise_power",
      lambda v, tmp: _layout(tmp, "noise_power", v), (True, "1", None, 0.0)),
@@ -93,6 +109,8 @@ TABLE = [
        COUNT + (0, -5))
       for name in ("n_layers", "n_train", "max_iter", "validation_size",
                    "val_every", "stop_window")],
+    ("TrainConfig", "seed", lambda v, tmp: training.TrainConfig(seed=v),
+     SEEDS),
     ("TrainConfig", "base_rate",
      lambda v, tmp: training.TrainConfig(base_rate=v),
      (True, "a", None, NAN, INF, 0.0)),
@@ -131,7 +149,12 @@ TABLE = [
      lambda v, tmp: benchmark.sweep_generalization(
          solver.viva_defaults(2), "k_fixed_area", [v], SystemParams(), 3,
          count=1),
-     (5.7, 10.7, NAN, INF, 0.0, -2.0)),
+     (5.7, 10.7, NAN, INF, 0.0, -2.0, True, "3")),
+    *[("sweep_generalization", axis,
+       lambda v, tmp, axis=axis: benchmark.sweep_generalization(
+           solver.viva_defaults(2), axis, [v], SystemParams(), 3, count=1),
+       (True, "3", NAN, INF))
+      for axis in benchmark.SWEEP_AXES if axis != "k_fixed_area"],
     ("generate", "--count",
      lambda v, tmp: cli.cmd_generate(SimpleNamespace(count=v)),
      COUNT + (0, -1)),
@@ -187,3 +210,72 @@ def test_library_solvers_pass_the_output_check(consumer):
                   benchmark.schedule_point_solver(solver.viva_defaults(3)),
                   scheduling.luva_solver(solver.viva_defaults(3))):
         CONSUMERS[consumer](solve)
+
+
+# Accept sets of the range checks routed through _finite_array and _real:
+# each check accepts exactly the probes it names and rejects every other one
+# with ValueError. Grid settings also get a bool and a string; an "empty"
+# grid setting is an empty grid.
+EMPTY = np.empty(0)
+PROBES = {"0.0": 0.0, "-0.0": -0.0, "5e-324": 5e-324, "1.0": 1.0,
+          "1+2**-52": 1.0 + 2.0 ** -52, "inf": INF, "-inf": -INF,
+          "nan": NAN, "empty": EMPTY}
+GRID_PROBES = {**PROBES, "True": True, "'3'": "3"}
+POSITIVE = {"5e-324", "1.0", "1+2**-52"}
+
+
+def _filled(value, shape):
+    return value if value is EMPTY else np.full(shape, value)
+
+
+def _pathloss(value):
+    with np.errstate(divide="ignore"):  # 5e-324 / r_bp rounds to 0: -inf dB
+        return netgen.pathloss_db(value, SystemParams())
+
+
+def _sweep(axis):
+    return lambda v: benchmark.sweep_generalization(
+        solver.viva_defaults(2), axis, [] if v is EMPTY else [v],
+        SystemParams(), 3, count=1)
+
+
+ACCEPTS = [  # (check, call(probe), probes, the labels it accepts)
+    ("aux_maxmin-u",
+     lambda v: scheduling.aux_maxmin(W, 1.0, _filled(v, 3)), PROBES, POSITIVE),
+    *[(f"utility_value-{kind}-u",
+       lambda v, kind=kind: scheduling.utility_value(
+           scheduling.UtilitySpec(kind, 1.0), np.zeros(3), _filled(v, 3)),
+       PROBES, POSITIVE)
+      for kind in scheduling.UTILITIES],
+    ("NetworkInstance-gains",
+     lambda v: _instance(gain=_filled(v, (1, 1))), PROBES, POSITIVE),
+    ("pathloss_db-d_m", _pathloss, PROBES, POSITIVE),
+    ("solver-output", lambda v: scheduling.dpp_run(
+        NET, lambda net, w: _filled(v, 3),
+        scheduling.UtilitySpec("proportional", 10.0), t_total=1, t_avg=1),
+     PROBES, {"0.0", "-0.0", "5e-324", "1.0"}),
+    ("grid-k_fixed_area", _sweep("k_fixed_area"), GRID_PROBES,
+     {"1.0", "empty"}),
+    ("grid-k_fixed_density", _sweep("k_fixed_density"), GRID_PROBES,
+     POSITIVE | {"empty"}),
+    ("grid-snr_offset", _sweep("snr_offset"), GRID_PROBES,
+     POSITIVE | {"0.0", "-0.0", "empty"}),
+    ("grid-d_min", _sweep("d_min"), GRID_PROBES, POSITIVE | {"empty"}),
+    ("grid-d_max", _sweep("d_max"), GRID_PROBES, {"empty"}),
+]
+
+
+def _accepts(call, value):
+    try:
+        call(value)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("call, probes, accepted",
+                         [pytest.param(*row[1:], id=row[0])
+                          for row in ACCEPTS])
+def test_range_checks_accept_exactly_their_sets(call, probes, accepted):
+    assert {label for label, value in probes.items()
+            if _accepts(call, value)} == accepted
